@@ -28,7 +28,11 @@ double PercentilePredictor::predict(std::span<const double> usage) const {
 }
 
 std::string PercentilePredictor::name() const {
-  return "p" + std::to_string(static_cast<int>(q_));
+  // Appending (not "p" + std::string) sidesteps GCC 12's -Wrestrict false
+  // positive on the inlined string insert at -O3.
+  std::string name = "p";
+  name += std::to_string(static_cast<int>(q_));
+  return name;
 }
 
 MeanStdDevPredictor::MeanStdDevPredictor(double k) : k_(k) {

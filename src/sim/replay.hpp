@@ -1,5 +1,13 @@
 // Trace replay: drive a Datacenter with a workload trace through the
 // event queue and collect run metrics.
+//
+// There is one replay engine (sim/replay.cpp): a control plane that owns a
+// set of clusters with their event queue, fault injector, migration
+// engine, planners and periodic schedules. replay() is its serial driver —
+// one control plane owning every cluster, rows pumped lazily, observations
+// straight into the metrics collector. replay_sharded() (sim/shard.hpp)
+// is the windowed driver over several control planes, and with one shard
+// it calls replay().
 #pragma once
 
 #include <optional>

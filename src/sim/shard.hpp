@@ -1,14 +1,17 @@
 // Sharded datacenter execution: run one Datacenter's clusters concurrently
-// on the ThreadPool, bit-identically to the serial replay.
+// on the ThreadPool, bit-identically at every thread count.
 //
 // The unit of parallelism is the VCluster (Stillwell et al.'s per-cluster
 // decomposition): shard k owns the clusters whose index is k modulo the
 // shard count, and — because placement routing (Datacenter::route) is a
 // pure function of (VmId, spec) — no event of one shard ever reads or
-// writes another shard's state. Each shard therefore gets its own
-// EventQueue, its own partial RunResult counters, its own FaultInjector
-// (scoped so the per-shard timetables partition the serial one), and its
-// own sample log of metric observations.
+// writes another shard's state. A shard is the replay engine's one control
+// plane (sim/replay.cpp) scoped to its clusters: its own EventQueue,
+// partial RunResult counters, FaultInjector and MigrationEngine (scoped so
+// the per-shard timetables and flights partition the whole-datacenter
+// ones), planners and heat caches, and its own sample log of metric
+// observations. The serial replay() is the same control plane owning
+// every cluster, so replay_sharded with one shard simply calls replay().
 //
 // Determinism comes from two disciplines, both inherited from
 // sim/parallel.hpp rather than invented here:
@@ -24,18 +27,14 @@
 //    floating-point sequence — and hence every RunResult field — is
 //    bit-identical at every thread count.
 //
-// Execution alternates parallel windows with serial barriers: the horizon
-// is cut into `barriers` windows; within a window every shard runs
-// independently (EventQueue::run_until); at each barrier the sample logs
-// are merged and dropped (bounding memory), every cluster's placement-index
-// dirty log is replayed in one batch (VCluster::flush_index), and — when
-// the debug-audit flag is set — the full datacenter audit runs. After the
-// last window each shard drains its queue completely (fault repairs and
-// retries may fire past the horizon).
-//
-// With shards == 1 and the same Datacenter, replay_sharded is structurally
-// the serial replay(): same event schedule, same observation tuples, same
-// collector call sequence — proven bit-identical by tests/sim_shard_test.cpp.
+// With more than one shard, execution alternates parallel windows with
+// serial barriers: the horizon is cut into `barriers` windows; within a
+// window every shard runs independently (EventQueue::run_until); at each
+// barrier the sample logs are merged and dropped (bounding memory), every
+// cluster's placement-index dirty log is replayed in one batch
+// (VCluster::flush_index), and — when the debug-audit flag is set — the
+// full datacenter audit runs. After the last window each shard drains its
+// queue completely (fault repairs and retries may fire past the horizon).
 #pragma once
 
 #include <cstddef>
@@ -51,8 +50,14 @@
 
 namespace slackvm::sim {
 
-/// Knobs of a sharded replay. The defaults run the serial reference (one
-/// shard, inline on the calling thread).
+/// Largest shard count user input (CLI flags, scenario files) accepts: far
+/// past any useful parallelism, and small enough that a typo fails fast
+/// instead of building a datacenter of ~1e19 clusters.
+inline constexpr std::size_t kMaxShards = 4096;
+
+/// Knobs of a sharded replay. The defaults run the serial replay (one
+/// shard, inline on the calling thread). `threads`, `barriers` and
+/// `watchdog_ms` have no effect at one shard.
 struct ShardOptions {
   /// Shard count: clusters are dealt round-robin across shards. May exceed
   /// the cluster count (excess shards simply own nothing).
@@ -75,8 +80,8 @@ struct ShardOptions {
   /// window makes no progress for this long, per-shard progress (clusters
   /// owned, events fired, simulated time, in-flight migrations) is dumped
   /// to stderr and — with `watchdog_fatal` — the process aborts instead of
-  /// hanging. 0 disables. Ignored on the serial path (threads <= 1), where
-  /// no cross-thread wait exists.
+  /// hanging. 0 disables. Ignored without a cross-thread wait (one shard,
+  /// or threads <= 1).
   std::size_t watchdog_ms = 0;
   bool watchdog_fatal = true;
 };
@@ -110,8 +115,10 @@ struct ShardSample {
 /// O(active window + one window's arrivals), never O(trace). The source
 /// must provide a horizon hint (barrier windows and the fault timetable
 /// need it up-front) — pre-scan streaming files with TraceReader::scan, or
-/// materialize. Deterministic and bit-identical to replay() when
-/// options.shards == 1; bit-identical across options.threads always.
+/// materialize. Deterministic, and bit-identical across options.threads.
+/// With options.shards <= 1 this is replay() with the same rebalance and
+/// faults (and no usage monitor): lazy row pumping, no windows, no hint
+/// needed unless a periodic schedule is armed.
 [[nodiscard]] RunResult replay_sharded(Datacenter& dc, EventSource& source,
                                        const ShardOptions& options = {});
 

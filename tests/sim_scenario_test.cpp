@@ -270,6 +270,46 @@ TEST(ScenarioParse, DuplicateInterferenceKeyRejected) {
   }
 }
 
+// Numeric values must be the whole token: signs on counts, trailing bytes,
+// non-finite reals and overflow are errors naming the line and the key,
+// never a wrapped, truncated or infinite value.
+TEST(ScenarioParse, MalformedNumbersRejectedWithLineAndKey) {
+  const struct {
+    const char* line;
+    const char* key;
+  } cases[] = {
+      {"shards -3", "shards"},
+      {"seed 12x", "seed"},
+      {"population 99999999999999999999999", "population"},
+      {"shards 5000", "shards"},
+      {"repetitions +2", "repetitions"},
+      {"mem_oversub nan", "mem_oversub"},
+      {"horizon_days 1e999", "horizon_days"},
+      {"rebalance_s inf", "rebalance_s"},
+      {"host_cores 4294967296", "host_cores"},
+      {"host_mem_gib -1", "host_mem_gib"},
+      {"fail host=-1 at=10", "fail host"},
+      {"drain host=1 at=10s", "drain at"},
+      {"repair host=1 at=10 cluster=1x", "repair cluster"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(std::string("population 100\n") + c.line + "\n");
+    try {
+      (void)parse_scenario(in);
+      ADD_FAILURE() << "accepted '" << c.line << "'";
+    } catch (const core::SlackError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.key), std::string::npos) << what;
+    }
+  }
+  // Plain well-formed values still parse.
+  std::istringstream ok("population 100\nmem_oversub 1.5\nrebalance_s 3.6e3\n");
+  const Scenario scenario = parse_scenario(ok);
+  EXPECT_EQ(scenario.config.mem_oversub, 1.5);
+  EXPECT_EQ(scenario.config.rebalance_interval, 3600.0);
+}
+
 TEST(ScenarioRun, SmallScenarioExecutes) {
   std::istringstream in(R"(name smoke
 provider ovhcloud

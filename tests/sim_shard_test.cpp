@@ -1,6 +1,6 @@
 // Differential shard test suite: the sharded datacenter engine
 // (sim/shard.hpp) must be bit-identical to itself at every thread count and
-// — at one shard — to the serial replay() reference, across the full
+// — at one shard, where it is replay() — to the serial replay, across the full
 // {shards} x {index on/off} x {faults on/off} matrix, with the invariant
 // audits enabled so every event re-validates the datacenter and its SoA
 // arena mirror. Also pins the documented cross-shard merge order.
@@ -128,9 +128,10 @@ TEST(ShardDifferential, ShardedMatchesItselfAtEveryThreadCount) {
   }
 }
 
-// One shard is the serial reference: replay_sharded must be bit-identical
-// to the legacy replay() on the identical datacenter — same event schedule,
-// same observation tuples, same collector call sequence.
+// One shard is the serial replay by construction (replay_sharded calls
+// replay()); this pins that the options — faults, index setting, both
+// organisations — reach it unchanged. The golden digests
+// (tests/sim_golden_test.cpp) pin what the serial replay itself returns.
 TEST(ShardDifferential, OneShardMatchesLegacyReplay) {
   ScopedDebugAudit audit_every_event;
   const workload::Trace trace = make_trace(120, 7);

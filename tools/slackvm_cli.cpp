@@ -13,14 +13,15 @@
 // Common options: --provider azure|ovhcloud, --dist A..O, --seed N,
 // --population N, --policy first-fit|best-fit|worst-fit|random|progress|slackvm,
 // --mode shared|dedicated, --mem-oversub X, --rebalance SECONDS.
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "core/parse.hpp"
 #include "sched/offline.hpp"
 #include "sched/rebalancer.hpp"
 #include "sim/event_source.hpp"
@@ -124,14 +125,18 @@ std::optional<Args> parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&](std::uint64_t max = UINT64_MAX) {
+      return core::parse_count(value(), key, max);
+    };
+    const auto real = [&]() { return core::parse_real(value(), key); };
     if (key == "--provider") {
       args.provider = value();
     } else if (key == "--dist") {
       args.dist = value()[0];
     } else if (key == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 10);
+      args.seed = count();
     } else if (key == "--population") {
-      args.population = std::strtoull(value(), nullptr, 10);
+      args.population = count();
     } else if (key == "--policy") {
       args.policy = value();
     } else if (key == "--mode") {
@@ -143,13 +148,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (key == "--out") {
       args.out_path = value();
     } else if (key == "--mem-oversub") {
-      args.mem_oversub = std::strtod(value(), nullptr);
+      args.mem_oversub = real();
     } else if (key == "--rebalance") {
-      args.rebalance_s = std::strtod(value(), nullptr);
+      args.rebalance_s = real();
     } else if (key == "--parallelism") {
-      args.parallelism = std::strtoull(value(), nullptr, 10);
+      args.parallelism = count();
     } else if (key == "--shards") {
-      args.shards = std::strtoull(value(), nullptr, 10);
+      args.shards = count(sim::kMaxShards);
       if (args.shards == 0) {
         throw core::SlackError("--shards must be >= 1");
       }
@@ -172,17 +177,17 @@ std::optional<Args> parse_args(int argc, char** argv) {
         throw core::SlackError("--stream must be on|off");
       }
     } else if (key == "--reps") {
-      args.repetitions = std::strtoull(value(), nullptr, 10);
+      args.repetitions = count();
     } else if (key == "--faults") {
-      args.faults.count = std::strtoull(value(), nullptr, 10);
+      args.faults.count = count();
     } else if (key == "--fault-seed") {
-      args.faults.seed = std::strtoull(value(), nullptr, 10);
+      args.faults.seed = count();
     } else if (key == "--repair-s") {
-      args.faults.repair_delay = std::strtod(value(), nullptr);
+      args.faults.repair_delay = real();
     } else if (key == "--drain-lead-s") {
-      args.faults.drain_lead = std::strtod(value(), nullptr);
+      args.faults.drain_lead = real();
     } else if (key == "--rebalance-budget") {
-      args.rebalance_budget = std::strtoull(value(), nullptr, 10);
+      args.rebalance_budget = count();
     } else if (key == "--migration") {
       const std::string v = value();
       if (v == "engine") {
@@ -193,22 +198,25 @@ std::optional<Args> parse_args(int argc, char** argv) {
         throw core::SlackError("--migration must be engine|instant");
       }
     } else if (key == "--mig-bw") {
-      args.migration.bandwidth_mibps = std::strtod(value(), nullptr);
+      args.migration.bandwidth_mibps = real();
       if (!(args.migration.bandwidth_mibps > 0)) {
         throw core::SlackError("--mig-bw must be > 0");
       }
     } else if (key == "--mig-cap") {
-      args.migration.max_concurrent_per_host = std::strtoull(value(), nullptr, 10);
+      args.migration.max_concurrent_per_host = count();
     } else if (key == "--mig-in-flight") {
-      args.migration.max_in_flight = std::strtoull(value(), nullptr, 10);
+      args.migration.max_in_flight = count();
     } else if (key == "--mig-timeout-s") {
-      args.migration.timeout = std::strtod(value(), nullptr);
+      args.migration.timeout = real();
     } else if (key == "--mig-retries") {
-      args.migration.max_retries = std::strtoull(value(), nullptr, 10);
+      args.migration.max_retries = count();
     } else if (key == "--mig-backoff-s") {
-      args.migration.backoff_base = std::strtod(value(), nullptr);
+      args.migration.backoff_base = real();
     } else if (key == "--watchdog-s") {
-      args.watchdog_s = std::strtod(value(), nullptr);
+      args.watchdog_s = real();
+      if (!(args.watchdog_s >= 0 && args.watchdog_s <= 1e9)) {
+        throw core::SlackError("--watchdog-s must be in [0, 1e9]");
+      }
     } else if (key == "--interference") {
       const std::string v = value();
       if (v == "on") {
@@ -219,32 +227,32 @@ std::optional<Args> parse_args(int argc, char** argv) {
         throw core::SlackError("--interference must be on|off");
       }
     } else if (key == "--heat-interval-s") {
-      args.interference.heat_interval = std::strtod(value(), nullptr);
+      args.interference.heat_interval = real();
       if (!(args.interference.heat_interval > 0)) {
         throw core::SlackError("--heat-interval-s must be > 0");
       }
     } else if (key == "--heat-alpha") {
-      args.interference.heat_alpha = std::strtod(value(), nullptr);
+      args.interference.heat_alpha = real();
       if (!(args.interference.heat_alpha > 0 && args.interference.heat_alpha <= 1)) {
         throw core::SlackError("--heat-alpha must be in (0, 1]");
       }
     } else if (key == "--heat-bucket") {
-      args.interference.heat_bucket = std::strtod(value(), nullptr);
+      args.interference.heat_bucket = real();
       if (!(args.interference.heat_bucket > 0)) {
         throw core::SlackError("--heat-bucket must be > 0");
       }
     } else if (key == "--heat-weight") {
-      args.interference.heat_weight = std::strtod(value(), nullptr);
+      args.interference.heat_weight = real();
       if (!(args.interference.heat_weight >= 0)) {
         throw core::SlackError("--heat-weight must be >= 0");
       }
     } else if (key == "--itf-threshold") {
-      args.interference.threshold = std::strtod(value(), nullptr);
+      args.interference.threshold = real();
       if (!(args.interference.threshold >= 1)) {
         throw core::SlackError("--itf-threshold must be >= 1");
       }
     } else if (key == "--itf-evictions") {
-      args.interference.evictions_per_pass = std::strtoull(value(), nullptr, 10);
+      args.interference.evictions_per_pass = count();
       if (args.interference.evictions_per_pass == 0) {
         throw core::SlackError("--itf-evictions must be >= 1");
       }
@@ -367,11 +375,8 @@ int cmd_replay(const Args& args) {
                                        {core::OversubLevel{1}, core::OversubLevel{2},
                                         core::OversubLevel{3}},
                                        policy_factory(args), args.mem_oversub)
-          : (args.shards > 1
-                 ? sim::Datacenter::shared_sharded(worker, policy_factory(args),
-                                                   args.shards, args.mem_oversub)
-                 : sim::Datacenter::shared(worker, policy_factory(args),
-                                           args.mem_oversub));
+          : sim::Datacenter::shared_sharded(worker, policy_factory(args), args.shards,
+                                            args.mem_oversub);
   dc.set_index_enabled(args.use_index);
   std::optional<sim::RebalanceOptions> rebalance;
   if (args.rebalance_s > 0) {
@@ -404,19 +409,14 @@ int cmd_replay(const Args& args) {
     source = std::make_unique<sim::MaterializedSource>(trace);
   }
 
-  sim::RunResult result;
-  if (args.shards > 1) {
-    sim::ShardOptions shard_options;
-    shard_options.shards = args.shards;
-    shard_options.threads = args.parallelism;
-    shard_options.rebalance = rebalance;
-    shard_options.faults = fault_ptr;
-    shard_options.watchdog_ms =
-        static_cast<std::size_t>(args.watchdog_s * 1000.0);
-    result = sim::replay_sharded(dc, *source, shard_options);
-  } else {
-    result = sim::replay(dc, *source, rebalance, nullptr, fault_ptr);
-  }
+  // One shard is the serial replay; more run on --parallelism threads.
+  sim::ShardOptions shard_options;
+  shard_options.shards = args.shards;
+  shard_options.threads = args.parallelism;
+  shard_options.rebalance = rebalance;
+  shard_options.faults = fault_ptr;
+  shard_options.watchdog_ms = static_cast<std::size_t>(args.watchdog_s * 1000.0);
+  const sim::RunResult result = sim::replay_sharded(dc, *source, shard_options);
   std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, %s trace\n",
               args.mode.c_str(), args.policy.c_str(), args.mem_oversub, args.shards,
               args.stream ? "streamed" : "materialized");

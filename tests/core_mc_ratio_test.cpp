@@ -116,15 +116,18 @@ TEST(RatioDelta, ZeroWhenEmptyOrOnTarget) {
 // Parameterized property sweep: for any current allocation, a VM that moves
 // the ratio strictly toward the target never scores negative, and a VM that
 // moves it strictly away never scores positive.
+// Both fields are 64-bit so the struct has no padding: gtest names each case
+// after the parameter's bytes, and padding would make those names vary.
 struct AllocCase {
-  CoreCount cores;
+  std::int64_t cores;
   std::int64_t mem_gib;
 };
 
 class ProgressDirectionProperty : public ::testing::TestWithParam<AllocCase> {};
 
 TEST_P(ProgressDirectionProperty, SignMatchesDirection) {
-  const auto [cores, mem_gib] = GetParam();
+  const auto [case_cores, mem_gib] = GetParam();
+  const auto cores = static_cast<CoreCount>(case_cores);
   const Resources alloc{cores, gib(mem_gib)};
   const double target = 4.0;
   const double current = mib_to_gib(alloc.mem_mib) / cores;

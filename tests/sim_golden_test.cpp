@@ -7,7 +7,9 @@
 // shards {1, 8} x {dedicated, shared}, plus a small distribution sweep at
 // shards {1, 8}. One shard runs through replay(), eight through
 // replay_sharded(). The usage monitor is a replay() argument only, so its
-// cases run at one shard.
+// cases run at one shard. Every shipped scenarios/*.scn file also runs at
+// shards {1, 8}; real_trace_replay streams a small real-format trace the
+// test generates, in place of the file its `trace` key names.
 //
 // Each case's digest lives in tests/golden/<case>.txt: one `field value`
 // line per field, doubles as hex-floats, so a single-ulp change fails.
@@ -18,8 +20,10 @@
 // and list the regeneration and its reason in CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -30,11 +34,13 @@
 #include "sched/policy.hpp"
 #include "sim/experiment.hpp"
 #include "sim/replay.hpp"
+#include "sim/scenario.hpp"
 #include "sim/shard.hpp"
 #include "sim/usage_monitor.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/level_mix.hpp"
+#include "workload/trace_reader.hpp"
 
 namespace slackvm::sim {
 namespace {
@@ -319,6 +325,80 @@ INSTANTIATE_TEST_SUITE_P(Shards, GoldenSweep,
                          ::testing::Values(std::size_t{1}, std::size_t{8}),
                          [](const ::testing::TestParamInfo<std::size_t>& param) {
                            return shard_tag(param.param);
+                         });
+
+// --- the shipped scenario files ---------------------------------------------
+
+struct ScenarioCase {
+  std::string file;  ///< stem under scenarios/
+  std::size_t shards;
+
+  [[nodiscard]] std::string name() const {
+    return "scenario_" + file + "_" + shard_tag(shards);
+  }
+};
+
+void PrintTo(const ScenarioCase& c, std::ostream* os) { *os << c.name(); }
+
+std::vector<ScenarioCase> scenario_cases() {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(SLACKVM_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".scn") {
+      files.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<ScenarioCase> cases;
+  for (const std::string& file : files) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      cases.push_back(ScenarioCase{file, shards});
+    }
+  }
+  return cases;
+}
+
+// A scenario with a `trace` key streams this file instead: generated rows
+// in the real 5-column format, so the streaming frontend's level
+// classifier runs too. One file per case, since ctest may run the cases
+// concurrently.
+std::string write_golden_trace(const std::string& case_name) {
+  workload::GeneratorConfig cfg = generator_config(200);
+  cfg.seed = 9;
+  const workload::Trace trace =
+      workload::Generator(workload::azure_catalog(), workload::make_mix(25, 25, 50), cfg)
+          .generate();
+  std::string file = ::testing::TempDir();
+  file += "slackvm_golden_" + case_name + ".csv";
+  std::ofstream out(file, std::ios::binary);
+  workload::write_csv_fast(trace, out, workload::TraceFormat::kReal);
+  return file;
+}
+
+class GoldenScenario : public ::testing::TestWithParam<ScenarioCase> {};
+
+TEST_P(GoldenScenario, MatchesDigest) {
+  const ScenarioCase& c = GetParam();
+  std::ifstream in(std::string(SLACKVM_SCENARIO_DIR) + "/" + c.file + ".scn");
+  ASSERT_TRUE(in) << "cannot open scenario " << c.file;
+  Scenario scenario = parse_scenario(in);
+  scenario.config.shards = c.shards;
+  scenario.config.parallelism = 2;
+  if (!scenario.config.trace_path.empty()) {
+    scenario.config.trace_path = write_golden_trace(c.name());
+  }
+  const PackingComparison cmp = scenario.run();
+  if (!scenario.config.trace_path.empty()) {
+    std::filesystem::remove(scenario.config.trace_path);
+  }
+  Digest digest;
+  digest.result("baseline.", cmp.baseline);
+  digest.result("slackvm.", cmp.slackvm);
+  check_golden(c.name(), digest.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Files, GoldenScenario, ::testing::ValuesIn(scenario_cases()),
+                         [](const ::testing::TestParamInfo<ScenarioCase>& param) {
+                           return param.param.name();
                          });
 
 }  // namespace

@@ -39,9 +39,10 @@ bool HostState::fits(const core::VmSpec& spec) const noexcept {
 }
 
 void HostState::add(core::VmId id, const core::VmSpec& spec) {
-  SLACKVM_ASSERT(!vms_.contains(id));
   SLACKVM_ASSERT(fits(spec));
-  vms_.emplace(id, spec);
+  // One probe: a duplicate id leaves vms_ unchanged and fails the assert.
+  const bool inserted = vms_.try_emplace(id, spec).second;
+  SLACKVM_ASSERT(inserted);
   vcpus_per_level_[spec.level.ratio()] += spec.vcpus;
   committed_mem_ += spec.mem_mib;
   recompute_alloc_cores();

@@ -189,7 +189,12 @@ class HostState {
   /// Spec of a hosted VM; throws for unknown ids.
   [[nodiscard]] const core::VmSpec& spec_of(core::VmId id) const;
 
-  /// All hosted VMs (unordered).
+  /// All hosted VMs (unordered). The iteration order still carries weight:
+  /// sim::sample_usage sums host demand in this order, so the floating-point
+  /// usage report (and the stored benchmark digests built from it) depends
+  /// on this container's type, hash and insertion sequence. Keep vms_ a
+  /// std::unordered_map filled the same way until a change that regenerates
+  /// those digests moves sample_usage to ascending-VmId summation.
   [[nodiscard]] const std::unordered_map<core::VmId, core::VmSpec>& vms() const noexcept {
     return vms_;
   }

@@ -115,13 +115,13 @@ void PlacementIndex::update_host(PerClass& pc, const HostState& host,
     // and get dropped when they surface at the heap top.
     return;
   }
-  const auto [it, inserted] = pc.pushed.try_emplace(host.id(), host.epoch());
-  if (!inserted) {
-    if (it->second == host.epoch()) {
-      return;  // an entry for this exact state is already in the heap
-    }
-    it->second = host.epoch();
+  if (pc.pushed.size() <= host.id()) {
+    pc.pushed.resize(std::size_t{host.id()} + 1, kNotPushed);
   }
+  if (pc.pushed[host.id()] == host.epoch()) {
+    return;  // an entry for this exact state is already in the heap
+  }
+  pc.pushed[host.id()] = host.epoch();
   pc.heap.push_back(Entry{scorer_->score(host, pc.spec), host.id(), host.epoch()});
   std::push_heap(pc.heap.begin(), pc.heap.end(), entry_less);
 }

@@ -102,8 +102,10 @@ class PlacementIndex {
     std::size_t cursor = 0;   ///< first unconsumed dirty-log entry
     std::set<HostId> feasible;                          ///< kFirstFit
     std::vector<Entry> heap;                            ///< kScore max-heap
-    std::unordered_map<HostId, std::uint64_t> pushed;   ///< newest epoch pushed
+    /// Newest epoch pushed per host id (kNotPushed: none); grown on demand.
+    std::vector<std::uint64_t> pushed;
   };
+  static constexpr std::uint64_t kNotPushed = ~std::uint64_t{0};
 
   /// Max-heap order matching the naive ScorePolicy scan: that scan keeps
   /// the first strictly-greater score while iterating ids in ascending

@@ -29,7 +29,6 @@ HostId VCluster::place(core::VmId id, const core::VmSpec& spec) {
 }
 
 void VCluster::reserve(std::size_t expected_vms) {
-  placements_.reserve(expected_vms);
   // Hosts are bounded by live VMs but usually far fewer; cap the up-front
   // vector footprint — growth past the cap stays amortized either way.
   hosts_.reserve(std::min<std::size_t>(expected_vms, 4096));
@@ -82,7 +81,7 @@ PlacementIndex* VCluster::active_index() {
 }
 
 std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spec) {
-  SLACKVM_ASSERT(!placements_.contains(id));
+  SLACKVM_ASSERT(!contains(id));
   PlacementIndex* index = active_index();
   auto chosen = index != nullptr ? index->select(hosts_, spec, &arena_)
                                  : policy_->select(hosts_, spec, filter_.get());
@@ -119,30 +118,36 @@ std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spe
   hosts_[*chosen].add(id, spec);
   journal(MembershipDelta::Op::kAdd, *chosen, id, spec);
   note(*chosen);
-  placements_.emplace(id, *chosen);
+  placements_.insert(id, *chosen);
   return *chosen;
 }
 
 void VCluster::remove(core::VmId id) {
-  const auto it = placements_.find(id);
-  if (it == placements_.end()) {
+  if (!try_remove(id)) {
     SLACKVM_THROW("VCluster::remove: unknown VM");
   }
-  hosts_[it->second].remove(id);
-  journal(MembershipDelta::Op::kRemove, it->second, id, core::VmSpec{});
-  note(it->second);
-  placements_.erase(it);
+}
+
+bool VCluster::try_remove(core::VmId id) {
+  const std::optional<HostId> host = placements_.erase(id);
+  if (!host) {
+    return false;
+  }
+  hosts_[*host].remove(id);
+  journal(MembershipDelta::Op::kRemove, *host, id, core::VmSpec{});
+  note(*host);
+  return true;
 }
 
 bool VCluster::migrate(core::VmId vm, HostId to) {
-  const auto it = placements_.find(vm);
-  if (it == placements_.end()) {
+  HostId* const placed = placements_.find(vm);
+  if (placed == nullptr) {
     SLACKVM_THROW("VCluster::migrate: unknown VM");
   }
   if (to >= hosts_.size()) {
     SLACKVM_THROW("VCluster::migrate: unknown target host");
   }
-  const HostId from = it->second;
+  const HostId from = *placed;
   if (from == to) {
     return true;
   }
@@ -161,7 +166,7 @@ bool VCluster::migrate(core::VmId vm, HostId to) {
   journal(MembershipDelta::Op::kAdd, to, vm, spec);
   note(from);
   note(to);
-  it->second = to;
+  *placed = to;
   return true;
 }
 
@@ -208,14 +213,14 @@ void VCluster::release_reservation(HostId host, core::VmId vm) {
 }
 
 void VCluster::commit_migration(core::VmId vm, HostId to) {
-  const auto it = placements_.find(vm);
-  if (it == placements_.end()) {
+  HostId* const placed = placements_.find(vm);
+  if (placed == nullptr) {
     SLACKVM_THROW("VCluster::commit_migration: unknown VM");
   }
   if (to >= hosts_.size() || !hosts_[to].has_reservation(vm)) {
     SLACKVM_THROW("VCluster::commit_migration: no reservation held");
   }
-  const HostId from = it->second;
+  const HostId from = *placed;
   SLACKVM_ASSERT(from != to);
   // The engine aborts flights before their destination leaves UP; a commit
   // onto a draining or failed host means a missed notification.
@@ -232,7 +237,7 @@ void VCluster::commit_migration(core::VmId vm, HostId to) {
   journal(MembershipDelta::Op::kAdd, to, vm, spec);
   note(from);
   note(to);
-  it->second = to;
+  *placed = to;
 }
 
 HostPhase VCluster::host_phase(HostId host) const {
@@ -311,7 +316,7 @@ std::size_t VCluster::migrate_off(HostId host) {
       // leave the VM for a later fail_host eviction or natural departure.
       hosts_[host].add(vm, spec);
       journal(MembershipDelta::Op::kAdd, host, vm, spec);
-      placements_.emplace(vm, host);
+      placements_.insert(vm, host);
       note(host);
     }
   }
@@ -319,11 +324,11 @@ std::size_t VCluster::migrate_off(HostId host) {
 }
 
 HostId VCluster::host_of(core::VmId vm) const {
-  const auto it = placements_.find(vm);
-  if (it == placements_.end()) {
+  const HostId* const host = placements_.find(vm);
+  if (host == nullptr) {
     SLACKVM_THROW("VCluster::host_of: unknown VM");
   }
-  return it->second;
+  return *host;
 }
 
 

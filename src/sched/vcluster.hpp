@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "sched/host_state.hpp"
 #include "sched/placement_index.hpp"
 #include "sched/policy.hpp"
+#include "sched/vm_table.hpp"
 
 namespace slackvm::sched {
 
@@ -70,8 +70,10 @@ class VCluster {
   }
   [[nodiscard]] bool index_enabled() const noexcept { return index_enabled_; }
 
-  /// Pre-size the placement containers for an expected number of VMs (a
-  /// trace-size hint). Purely a capacity hint — never required.
+  /// Pre-size the host containers for an expected number of VMs (a
+  /// trace-size hint). Purely a capacity hint — never required. The
+  /// membership table is not pre-sized: it grows with the live VMs, which
+  /// are far fewer than a trace's rows.
   void reserve(std::size_t expected_vms);
 
   /// Live-migrate a VM to a specific open host; returns false (no state
@@ -115,6 +117,10 @@ class VCluster {
   /// Remove a VM placed earlier; throws for unknown ids. Emptied hosts stay
   /// open (they were provisioned) and are reused by later placements.
   void remove(core::VmId id);
+
+  /// Remove `id` when it is placed here (one membership probe) and return
+  /// true; return false, with the cluster unchanged, when it is not.
+  bool try_remove(core::VmId id);
 
   // --- availability lifecycle (sim/fault.hpp drives these) -----------------
 
@@ -167,7 +173,7 @@ class VCluster {
 
   /// True when `vm` is currently placed here.
   [[nodiscard]] bool contains(core::VmId vm) const noexcept {
-    return placements_.contains(vm);
+    return placements_.find(vm) != nullptr;
   }
 
   /// Host currently running `vm`; throws for unknown ids.
@@ -286,7 +292,7 @@ class VCluster {
   std::optional<std::size_t> max_hosts_;
   std::vector<HostState> hosts_;
   HostArena arena_;  ///< SoA mirror of hosts_, maintained by note()
-  std::unordered_map<core::VmId, HostId> placements_;
+  VmHostTable placements_;
   bool index_enabled_ = true;
   /// Membership journal (arm_membership_log). lost_ starts true so the
   /// first take after arming reports the pre-arming history as dropped.

@@ -132,21 +132,22 @@ class Shard {
 
   /// Schedule one trace row: arrival then departure, both on the workload
   /// lane, so a row inserted mid-run still wins time ties against control
-  /// events exactly as if every row had been scheduled first. The row is
-  /// captured by value — the source's buffers are long recycled by the
-  /// time the events fire.
+  /// events exactly as if every row had been scheduled first. The row's
+  /// identity waits in the pending-row slab until it arrives — the
+  /// source's buffers are long recycled by then — so both closures are
+  /// 16 trivially copyable bytes that std::function stores inline.
   void schedule_row(const core::VmInstance& vm) {
-    queue.schedule_lane(vm.arrival, EventQueue::kLaneWorkload, [this, vm](core::SimTime t) {
-      if (injector_.has_value()) {
-        // Under fault injection capacity can be transiently exhausted;
-        // arrivals defer into the retry/degraded machinery instead.
-        injector_->deploy_or_defer(vm.id, vm.spec, t);
-      } else {
-        dc_.deploy(vm.id, vm.spec);
-        ++partial_.placed_vms;
-      }
-      observe(t);
-    });
+    std::uint32_t slot = 0;
+    if (!free_rows_.empty()) {
+      slot = free_rows_.back();
+      free_rows_.pop_back();
+      rows_[slot] = PendingRow{vm.id, vm.spec};
+    } else {
+      slot = static_cast<std::uint32_t>(rows_.size());
+      rows_.push_back(PendingRow{vm.id, vm.spec});
+    }
+    queue.schedule_lane(vm.arrival, EventQueue::kLaneWorkload,
+                        [this, slot](core::SimTime t) { arrive(slot, t); });
     queue.schedule_lane(vm.departure, EventQueue::kLaneWorkload,
                         [this, id = vm.id](core::SimTime t) {
       // A departing VM first cancels any migration intent it carries
@@ -291,13 +292,26 @@ class Shard {
     }
   }
 
-  /// Departure removal probes the owned clusters only: a shard never reads
-  /// another shard's placement maps.
+  /// A row's arrival: release its pending-row slot, then place the VM.
+  void arrive(std::uint32_t slot, core::SimTime t) {
+    const PendingRow row = rows_[slot];
+    free_rows_.push_back(slot);
+    if (injector_.has_value()) {
+      // Under fault injection capacity can be transiently exhausted;
+      // arrivals defer into the retry/degraded machinery instead.
+      injector_->deploy_or_defer(row.id, row.spec, t);
+    } else {
+      dc_.deploy(row.id, row.spec);
+      ++partial_.placed_vms;
+    }
+    observe(t);
+  }
+
+  /// Departure removal probes the owned clusters only, once each: a shard
+  /// never reads another shard's placement maps.
   void remove(core::VmId id) {
     for (const std::size_t c : clusters_) {
-      sched::VCluster& cluster = dc_.cluster(c);
-      if (cluster.contains(id)) {
-        cluster.remove(id);
+      if (dc_.cluster(c).try_remove(id)) {
         return;
       }
     }
@@ -378,6 +392,14 @@ class Shard {
   /// so every shard's instance answers identically.
   const perf::ContentionModel contention_{};
   std::vector<DemandCache> heat_caches_;  ///< heat-tick caches, one per owned cluster
+  /// Rows scheduled but not yet arrived, indexed by the arrival closure's
+  /// slot; freed slots are reused, so the slab spans the pending window.
+  struct PendingRow {
+    core::VmId id;
+    core::VmSpec spec;
+  };
+  std::vector<PendingRow> rows_;
+  std::vector<std::uint32_t> free_rows_;
 };
 
 void finish_result(const Datacenter& dc, const SampleMerger& merger, RunResult& result) {
@@ -416,7 +438,7 @@ std::vector<std::pair<std::size_t, std::size_t>> shard_merge_order(
 RunResult replay(Datacenter& dc, EventSource& source,
                  const std::optional<RebalanceOptions>& rebalance,
                  UsageMonitor* usage_monitor, const FaultConfig* faults) {
-  // Row-count hint: pre-size placement maps/host vectors before the churn.
+  // Row-count hint: pre-size the host vectors before the churn.
   // Purely a performance hint — absent for unscanned streams.
   if (const std::optional<std::size_t> rows = source.size_hint()) {
     dc.reserve(*rows);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
@@ -153,6 +158,171 @@ TEST(EventQueueTest, RunUntilAlignsClocksAcrossQueues) {
   EXPECT_DOUBLE_EQ(idle.now(), 4.0);
   idle.schedule(4.0, [](core::SimTime) {});
   EXPECT_EQ(idle.pending(), 1U);
+}
+
+TEST(EventQueueTest, ReentrantScheduleReusesTheFiredSlot) {
+  // The firing event's slot is freed before its action runs, so the first
+  // schedule() inside the action takes that very slot. Order must still be
+  // (time, lane, seq): the workload-lane child fires before the control
+  // event already pending at the same time, the control-lane child after.
+  EventQueue queue;
+  std::vector<char> order;
+  queue.schedule(1.0, [&](core::SimTime t) {
+    order.push_back('A');
+    queue.schedule_lane(t, EventQueue::kLaneWorkload,
+                        [&](core::SimTime) { order.push_back('B'); });
+    queue.schedule(t, [&](core::SimTime) { order.push_back('C'); });
+  });
+  queue.schedule(1.0, [&](core::SimTime) { order.push_back('D'); });
+  queue.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'D', 'C'}));
+}
+
+TEST(EventQueueTest, ThrowingActionLeavesQueueConsistent) {
+  EventQueue queue;
+  std::vector<int> fired;
+  queue.schedule(1.0, [&](core::SimTime) { fired.push_back(1); });
+  queue.schedule(2.0, [](core::SimTime) { throw std::runtime_error("boom"); });
+  queue.schedule(3.0, [&](core::SimTime) { fired.push_back(3); });
+  EXPECT_THROW(queue.run(), std::runtime_error);
+  EXPECT_DOUBLE_EQ(queue.now(), 2.0);
+  EXPECT_EQ(queue.pending(), 1U);
+  queue.schedule(2.0, [&](core::SimTime) { fired.push_back(2); });
+  queue.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
+// --- differential: the queue against a sorted (time, lane, seq) reference ---
+//
+// Every action checks, as it fires, that it is the reference's minimum and
+// removes itself from it; some schedule a child from inside (taking the
+// slot just freed), some throw. The driver interleaves schedule, step and
+// run_until (at an event time and between event times) and compares the
+// pending count and the next time after every operation.
+class QueueDifferential {
+ public:
+  explicit QueueDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  enum class Kind : std::uint8_t { kPlain, kChild, kThrow };
+
+  void schedule(core::SimTime time, std::uint8_t lane, Kind kind) {
+    const int id = next_id_++;
+    reference_.emplace(time, lane, seq_++, id);
+    queue_.schedule_lane(time, lane, [this, id, kind](core::SimTime t) { fire(id, kind, t); });
+  }
+
+  void random_schedule() {
+    // Times on a 0.5 grid a few steps ahead: many exact ties, on both
+    // lanes and, rarely, on lanes past kLaneControl (whose in-key rank
+    // saturates, so their ties fall back to the slab's exact order).
+    const core::SimTime time = queue_.now() + 0.5 * static_cast<double>(pick(7));
+    const std::uint64_t lane_roll = pick(20);
+    const auto lane = static_cast<std::uint8_t>(lane_roll < 18 ? lane_roll % 2 : lane_roll - 16);
+    const std::uint64_t roll = pick(100);
+    const Kind kind = roll < 20 ? Kind::kChild : roll < 23 ? Kind::kThrow : Kind::kPlain;
+    schedule(time, lane, kind);
+  }
+
+  void step() {
+    const bool had = !reference_.empty();
+    try {
+      EXPECT_EQ(queue_.step(), had);
+    } catch (const std::runtime_error&) {
+      ++throws_;
+    }
+  }
+
+  void run_until() {
+    core::SimTime deadline = queue_.now() + 0.25;
+    if (!reference_.empty()) {
+      const core::SimTime next = std::get<0>(*reference_.begin());
+      // Exactly at a pending event's time, or strictly between grid points.
+      deadline = pick(2) == 0 ? next + 0.5 * static_cast<double>(pick(3))
+                              : next + 0.25 + 0.5 * static_cast<double>(pick(2));
+    }
+    try {
+      queue_.run_until(deadline);
+      EXPECT_DOUBLE_EQ(queue_.now(), deadline);
+      EXPECT_TRUE(reference_.empty() || std::get<0>(*reference_.begin()) >= deadline);
+    } catch (const std::runtime_error&) {
+      ++throws_;
+    }
+  }
+
+  void check() {
+    ASSERT_EQ(queue_.pending(), reference_.size());
+    ASSERT_EQ(queue_.empty(), reference_.empty());
+    if (!reference_.empty()) {
+      ASSERT_EQ(queue_.next_time(), std::get<0>(*reference_.begin()));
+    }
+    ASSERT_EQ(mismatches_, 0U);
+  }
+
+  void drain() {
+    while (!queue_.empty()) {
+      step();
+    }
+  }
+
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+  [[nodiscard]] std::size_t fired() const { return fired_; }
+  [[nodiscard]] std::size_t throws() const { return throws_; }
+  [[nodiscard]] std::size_t children() const { return children_; }
+
+ private:
+  void fire(int id, Kind kind, core::SimTime t) {
+    ++fired_;
+    if (reference_.empty() || std::get<3>(*reference_.begin()) != id ||
+        std::get<0>(*reference_.begin()) != t) {
+      ++mismatches_;
+      return;
+    }
+    reference_.erase(reference_.begin());
+    if (kind == Kind::kChild) {
+      ++children_;
+      // Same time on either lane (fires within this timestamp) or later.
+      schedule(t + 0.5 * static_cast<double>(pick(3)), static_cast<std::uint8_t>(pick(2)),
+               pick(4) == 0 ? Kind::kChild : Kind::kPlain);
+    } else if (kind == Kind::kThrow) {
+      throw std::runtime_error("action failed");
+    }
+  }
+
+  std::mt19937_64 rng_;
+  EventQueue queue_;
+  std::set<std::tuple<core::SimTime, std::uint8_t, std::uint64_t, int>> reference_;
+  std::uint64_t seq_ = 0;
+  int next_id_ = 0;
+  std::size_t fired_ = 0;
+  std::size_t throws_ = 0;
+  std::size_t children_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+TEST(EventQueueDifferential, RandomOperationsMatchSortedReference) {
+  QueueDifferential diff(20260917);
+  constexpr int kOps = 120000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t roll = diff.pick(100);
+    if (roll < 50) {
+      diff.random_schedule();
+    } else if (roll < 95) {
+      diff.step();
+    } else {
+      diff.run_until();
+    }
+    diff.check();
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "diverged at operation " << op;
+    }
+  }
+  diff.drain();
+  diff.check();
+  // The mix really exercised every path.
+  EXPECT_GT(diff.fired(), 50000U);
+  EXPECT_GT(diff.children(), 5000U);
+  EXPECT_GT(diff.throws(), 500U);
 }
 
 }  // namespace

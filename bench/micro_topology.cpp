@@ -4,11 +4,13 @@
 //
 // Two entry points:
 //   micro_topology [google-benchmark flags]      # the BM_* suites below
-//   micro_topology --json [--ops N]              # machine-readable naive-vs-
-//                                                # fast local-engine churn
+//   micro_topology --json [--ops N]              # machine-readable local-
+//                                                # scheduler churn and naive-
+//                                                # vs-fast CPU selection
 //                                                # (BENCH_micro_topology.json)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +23,7 @@
 #include "core/rng.hpp"
 #include "local/placement.hpp"
 #include "local/vnode_manager.hpp"
+#include "reference/local_naive.hpp"
 #include "topology/builders.hpp"
 #include "topology/distance.hpp"
 
@@ -92,12 +95,9 @@ void BM_DistanceMatrixShared(benchmark::State& state) {
 BENCHMARK(BM_DistanceMatrixShared);
 
 void BM_VNodeDeployRemove(benchmark::State& state) {
-  // One deploy + one remove at steady state on a loaded dual-EPYC PM;
-  // range(0) picks the placement engine (0 = naive reference, 1 = fast).
+  // One deploy + one remove at steady state on a loaded dual-EPYC PM.
   const topo::CpuTopology epyc = topo::make_dual_epyc_7662();
-  const auto engine = state.range(0) != 0 ? local::PlacementEngine::kFast
-                                          : local::PlacementEngine::kNaive;
-  local::VNodeManager manager(epyc, local::PoolingPolicy::kNone, 1.0, engine);
+  local::VNodeManager manager(epyc, local::PoolingPolicy::kNone, 1.0);
   core::SplitMix64 rng(2);
   std::uint64_t id = 1;
   core::VmSpec spec;
@@ -117,7 +117,7 @@ void BM_VNodeDeployRemove(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_VNodeDeployRemove)->Arg(0)->Arg(1)->ArgNames({"fast"});
+BENCHMARK(BM_VNodeDeployRemove);
 
 void BM_SeedSelection(benchmark::State& state) {
   const topo::CpuTopology epyc = topo::make_dual_epyc_7662();
@@ -137,9 +137,9 @@ void BM_SeedSelection(benchmark::State& state) {
 BENCHMARK(BM_SeedSelection);
 
 // ---------------------------------------------------------------------------
-// --json mode: naive-vs-fast deploy+remove churn through the full local
-// scheduler, per builder topology, plus the allocation probe and the
-// matrix-interning stats (BENCH_micro_topology.json).
+// --json mode: deploy+remove churn through the full local scheduler and
+// naive-vs-fast CPU selection, per builder topology, plus the allocation
+// probe and the matrix-interning stats (BENCH_micro_topology.json).
 
 using Clock = std::chrono::steady_clock;
 
@@ -157,12 +157,9 @@ struct ChurnResult {
 };
 
 /// Steady-state churn: preload a PM to ~60% of its threads, then time
-/// `pairs` remove+deploy pairs. Both engines see the identical op sequence
-/// (same seed), so the comparison is apples-to-apples — and the engines are
-/// differential-tested to produce bit-identical states anyway.
-ChurnResult measure_churn(const topo::CpuTopology& machine,
-                          local::PlacementEngine engine, std::size_t pairs) {
-  local::VNodeManager manager(machine, local::PoolingPolicy::kUpgrade, 1.0, engine);
+/// `pairs` remove+deploy pairs.
+ChurnResult measure_churn(const topo::CpuTopology& machine, std::size_t pairs) {
+  local::VNodeManager manager(machine, local::PoolingPolicy::kUpgrade, 1.0);
   core::SplitMix64 rng(42);
   std::vector<core::VmId> alive;
   std::uint64_t id = 1;
@@ -201,6 +198,72 @@ ChurnResult measure_churn(const topo::CpuTopology& machine,
   const double seconds = std::chrono::duration<double>(t1 - t0).count();
   result.pairs_per_sec =
       seconds > 0.0 ? static_cast<double>(pairs) / seconds : 0.0;
+  return result;
+}
+
+struct SelectionResult {
+  std::size_t calls = 0;  ///< timed selection calls per implementation
+  double naive_calls_per_sec = 0.0;
+  double fast_calls_per_sec = 0.0;
+};
+
+/// Naive-vs-fast CPU selection on random pools: each round draws a vNode
+/// (25 % of the CPUs) and a free pool (40 %) and runs one extension, one
+/// seed and one release of 1-8 CPUs. Both implementations see the identical
+/// calls, and the fast path is differential-tested to return the naive
+/// result.
+SelectionResult measure_selection(const topo::CpuTopology& machine,
+                                  std::size_t rounds) {
+  const auto dm = topo::DistanceMatrixCache::shared(machine);
+  const std::size_t n = machine.cpu_count();
+  struct Call {
+    topo::CpuSet current;
+    topo::CpuSet free_cpus;
+    std::size_t count;
+    std::size_t release;
+  };
+  std::vector<Call> calls;
+  core::SplitMix64 rng(7);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    Call call{topo::CpuSet(n), topo::CpuSet(n), 1 + rng.below(8), 0};
+    for (std::size_t cpu = 0; cpu < n; ++cpu) {
+      const double u = rng.uniform();
+      if (u < 0.25) {
+        call.current.set(static_cast<topo::CpuId>(cpu));
+      } else if (u < 0.65) {
+        call.free_cpus.set(static_cast<topo::CpuId>(cpu));
+      }
+    }
+    call.release = std::min(call.count, call.current.count());
+    calls.push_back(std::move(call));
+  }
+  local::PlacementScratch scratch;
+  const auto time_calls = [&](bool fast) {
+    const auto t0 = Clock::now();
+    for (const Call& c : calls) {
+      if (fast) {
+        benchmark::DoNotOptimize(
+            local::choose_extension_cpus(*dm, c.free_cpus, c.current, c.count, scratch));
+        benchmark::DoNotOptimize(
+            local::choose_seed_cpus(*dm, c.free_cpus, c.current, c.count, scratch));
+        benchmark::DoNotOptimize(
+            local::choose_release_cpus(*dm, c.current, c.release, scratch));
+      } else {
+        benchmark::DoNotOptimize(
+            local::naive::choose_extension_cpus(*dm, c.free_cpus, c.current, c.count));
+        benchmark::DoNotOptimize(
+            local::naive::choose_seed_cpus(*dm, c.free_cpus, c.current, c.count));
+        benchmark::DoNotOptimize(
+            local::naive::choose_release_cpus(*dm, c.current, c.release));
+      }
+    }
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    return seconds > 0.0 ? static_cast<double>(3 * calls.size()) / seconds : 0.0;
+  };
+  SelectionResult result;
+  result.calls = 3 * calls.size();
+  result.naive_calls_per_sec = time_calls(/*fast=*/false);
+  result.fast_calls_per_sec = time_calls(/*fast=*/true);
   return result;
 }
 
@@ -246,21 +309,19 @@ int run_json(std::size_t ops) {
   std::printf("{\n  \"bench\": \"micro_topology\",\n  \"results\": [\n");
   bool first = true;
   for (const NamedTopo& t : topologies) {
-    const ChurnResult naive =
-        measure_churn(t.machine, local::PlacementEngine::kNaive, ops);
-    const ChurnResult fast =
-        measure_churn(t.machine, local::PlacementEngine::kFast, ops);
-    std::printf("%s    {\"topology\": \"%s\", \"mode\": \"naive\", \"pairs\": %zu, "
+    const ChurnResult churn = measure_churn(t.machine, ops);
+    const SelectionResult selection = measure_selection(t.machine, ops / 10 + 1);
+    std::printf("%s    {\"topology\": \"%s\", \"mode\": \"fast\", \"pairs\": %zu, "
                 "\"deploy_remove_pairs_per_sec\": %.0f},\n",
-                first ? "" : ",\n", t.name, naive.pairs, naive.pairs_per_sec);
-    std::printf("    {\"topology\": \"%s\", \"mode\": \"fast\", \"pairs\": %zu, "
-                "\"deploy_remove_pairs_per_sec\": %.0f},\n",
-                t.name, fast.pairs, fast.pairs_per_sec);
-    std::printf("    {\"topology\": \"%s\", \"mode\": \"speedup\", "
-                "\"deploy_remove\": %.2f}",
-                t.name,
-                naive.pairs_per_sec > 0.0 ? fast.pairs_per_sec / naive.pairs_per_sec
-                                          : 0.0);
+                first ? "" : ",\n", t.name, churn.pairs, churn.pairs_per_sec);
+    std::printf("    {\"topology\": \"%s\", \"mode\": \"selection\", \"calls\": %zu, "
+                "\"naive_calls_per_sec\": %.0f, \"fast_calls_per_sec\": %.0f, "
+                "\"speedup\": %.2f}",
+                t.name, selection.calls, selection.naive_calls_per_sec,
+                selection.fast_calls_per_sec,
+                selection.naive_calls_per_sec > 0.0
+                    ? selection.fast_calls_per_sec / selection.naive_calls_per_sec
+                    : 0.0);
     first = false;
   }
 

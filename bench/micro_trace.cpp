@@ -17,8 +17,8 @@
 //     then replay the Trace, paying O(rows) vectors plus the fully
 //     populated event queue up-front. The RunResults of 1 and 2 are
 //     checked bit-identical and the process exits non-zero on divergence.
-//  3. *Parse throughput* — rows/s of Trace::read_csv (istream + stod
-//     reference) vs TraceReader three ways: read_all() in chunked and mmap
+//  3. *Parse throughput* — rows/s of the istream + stod reference parser
+//     (reference::read_csv, tests/reference/) vs TraceReader three ways: read_all() in chunked and mmap
 //     modes (materializing, so they still pay the O(rows) vector +
 //     sorted-Trace construction floor that read_csv also pays), and the
 //     pure streaming pull (a next() loop, the path replay actually uses —
@@ -42,6 +42,7 @@
 
 #include "bench_util.hpp"
 #include "core/vm.hpp"
+#include "reference/trace_csv.hpp"
 #include "sched/policy.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/event_source.hpp"
@@ -225,7 +226,7 @@ int main(int argc, char** argv) {
   {
     std::ifstream in(path, std::ios::binary);
     const auto start = Clock::now();
-    const workload::Trace reference = workload::Trace::read_csv(in);
+    const workload::Trace reference = reference::read_csv(in);
     istream_wall = seconds_since(start);
 
     workload::TraceReaderOptions chunked_options;  // defaults: 1 MiB chunks

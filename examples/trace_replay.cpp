@@ -11,6 +11,7 @@
 #include "sched/policy.hpp"
 #include "sim/replay.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace_reader.hpp"
 
 using namespace slackvm;
 
@@ -50,12 +51,11 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream out(out_path);
-    trace.write_csv(out);
+    workload::write_csv_fast(trace, out, workload::TraceFormat::kNative);
   }
   std::printf("trace written to %s\n", out_path);
 
-  std::ifstream in(out_path);
-  const workload::Trace reloaded = workload::Trace::read_csv(in);
+  const workload::Trace reloaded = workload::TraceReader(out_path).read_all();
   std::printf("reloaded %zu VMs from CSV\n\n", reloaded.size());
 
   struct PolicyChoice {

@@ -11,8 +11,8 @@
 //
 // All selections are deterministic: ties break on the lowest CPU id. This
 // tie-break is part of the engine's contract — the incremental fast path
-// below and the naive reference (namespace naive) must agree bit-for-bit,
-// which the differential churn tests assert.
+// below and the test-only naive reference (tests/reference/local_naive.hpp)
+// must agree bit-for-bit, which the differential churn tests assert.
 //
 // The default implementations are incremental: instead of rescanning every
 // pool CPU against the whole accumulated set at each greedy step
@@ -25,8 +25,7 @@
 // does) carries the frontiers across calls, so steady-state resizes skip
 // the O(|set|·n) rebuild entirely: the sum frontier is exact under both
 // additions and removals, the min frontier under additions by relaxation
-// and under removals through per-entry witness counts. The original
-// implementations live on in namespace naive as the differential reference.
+// and under removals through per-entry witness counts.
 #pragma once
 
 #include <cstdint>
@@ -116,25 +115,5 @@ struct DistanceFrontier {
                                                            std::size_t count);
 [[nodiscard]] topo::CpuSet choose_release_cpus(const topo::DistanceMatrix& dm,
                                                const topo::CpuSet& current, std::size_t count);
-
-/// The original per-step-rescan implementations, kept verbatim as the
-/// differential reference the fast path is proven against (the same pattern
-/// the placement index uses for host selection, DESIGN.md §5). Semantics —
-/// including the lowest-CPU-id tie-break — are the specification.
-namespace naive {
-
-[[nodiscard]] std::optional<topo::CpuSet> choose_extension_cpus(
-    const topo::DistanceMatrix& dm, const topo::CpuSet& free_cpus,
-    const topo::CpuSet& current, std::size_t count);
-
-[[nodiscard]] std::optional<topo::CpuSet> choose_seed_cpus(const topo::DistanceMatrix& dm,
-                                                           const topo::CpuSet& free_cpus,
-                                                           const topo::CpuSet& occupied,
-                                                           std::size_t count);
-
-[[nodiscard]] topo::CpuSet choose_release_cpus(const topo::DistanceMatrix& dm,
-                                               const topo::CpuSet& current, std::size_t count);
-
-}  // namespace naive
 
 }  // namespace slackvm::local

@@ -7,12 +7,11 @@
 namespace slackvm::local {
 
 VNodeManager::VNodeManager(const topo::CpuTopology& topo, PoolingPolicy pooling,
-                           double mem_oversub, PlacementEngine engine)
+                           double mem_oversub)
     : topo_(topo),
       distances_(topo::DistanceMatrixCache::shared(topo)),
       pooling_(pooling),
       mem_oversub_(mem_oversub),
-      engine_(engine),
       free_cpus_(topo.all_cpus()),
       occupied_cpus_(topo.cpu_count()) {
   SLACKVM_ASSERT(mem_oversub >= 1.0);
@@ -116,9 +115,7 @@ std::optional<DeployResult> VNodeManager::deploy(core::VmId id, const core::VmSp
     // Create a new vNode seeded as far as possible from existing ones.
     const core::CoreCount needed = spec.level.cores_for(spec.vcpus);
     const auto seed =
-        engine_ == PlacementEngine::kFast
-            ? choose_seed_cpus(*distances_, free_cpus_, occupied_cpus_, needed, scratch_)
-            : naive::choose_seed_cpus(*distances_, free_cpus_, occupied_cpus_, needed);
+        choose_seed_cpus(*distances_, free_cpus_, occupied_cpus_, needed, scratch_);
     SLACKVM_ASSERT(seed.has_value());
     VNode node(next_id_, spec.level, topo_.cpu_count());
     node.assign_cpus(*seed);
@@ -187,27 +184,19 @@ std::optional<std::vector<PinUpdate>> VNodeManager::retune(VNodeId vnode,
 std::vector<PinUpdate> VNodeManager::resize_node(VNode& node) {
   const core::CoreCount needed = node.required_cores();
   const core::CoreCount have = node.core_count();
-  // The persistent frontier of this vNode (fast engine only): built lazily
-  // on the node's first resize, then carried across every grow/release so
-  // steady-state resizes cost O(steps·n) with no rebuild.
-  DistanceFrontier* frontier =
-      engine_ == PlacementEngine::kFast ? &frontiers_[node.id()] : nullptr;
+  // The persistent frontier of this vNode: built lazily on the node's first
+  // resize, then carried across every grow/release so steady-state resizes
+  // cost O(steps·n) with no rebuild.
+  DistanceFrontier& frontier = frontiers_[node.id()];
   if (needed > have) {
-    const auto extension =
-        engine_ == PlacementEngine::kFast
-            ? choose_extension_cpus(*distances_, free_cpus_, node.cpus(),
-                                    needed - have, scratch_, frontier)
-            : naive::choose_extension_cpus(*distances_, free_cpus_, node.cpus(),
-                                           needed - have);
+    const auto extension = choose_extension_cpus(*distances_, free_cpus_, node.cpus(),
+                                                 needed - have, scratch_, &frontier);
     SLACKVM_ASSERT(extension.has_value());  // pick_target guaranteed room
     claim_cpus(*extension);
     node.assign_cpus(node.cpus() | *extension);
   } else if (needed < have) {
     const topo::CpuSet released =
-        engine_ == PlacementEngine::kFast
-            ? choose_release_cpus(*distances_, node.cpus(), have - needed, scratch_,
-                                  frontier)
-            : naive::choose_release_cpus(*distances_, node.cpus(), have - needed);
+        choose_release_cpus(*distances_, node.cpus(), have - needed, scratch_, &frontier);
     release_cpus(released);
     node.assign_cpus(node.cpus() - released);
   }

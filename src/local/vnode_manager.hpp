@@ -16,9 +16,8 @@
 // interned per hardware model (topo::DistanceMatrixCache) instead of rebuilt
 // per manager, occupied CPUs and the level→vNode map are maintained across
 // operations rather than recomputed, and CPU selection runs the frontier
-// fast path in local/placement.hpp with a reused scratch. The naive
-// selection functions remain available as a differential reference
-// (PlacementEngine::kNaive) and must produce bit-identical pin decisions.
+// fast path in local/placement.hpp with a reused scratch and a persistent
+// per-vNode DistanceFrontier.
 #pragma once
 
 #include <map>
@@ -41,12 +40,6 @@ enum class PoolingPolicy : std::uint8_t {
   kUpgrade,  ///< §V-B: place into a stricter existing vNode when feasible
 };
 
-/// Which CPU-selection implementation the manager drives (local/placement.hpp).
-enum class PlacementEngine : std::uint8_t {
-  kFast,   ///< incremental distance frontiers (default)
-  kNaive,  ///< per-step rescans — the differential reference
-};
-
 /// New pinning for one VM (all CPUs of its — possibly resized — vNode).
 struct PinUpdate {
   core::VmId vm{};
@@ -66,8 +59,7 @@ class VNodeManager {
   /// (limited DRAM oversubscription, paper footnote 2 / §VIII).
   explicit VNodeManager(const topo::CpuTopology& topo,
                         PoolingPolicy pooling = PoolingPolicy::kNone,
-                        double mem_oversub = 1.0,
-                        PlacementEngine engine = PlacementEngine::kFast);
+                        double mem_oversub = 1.0);
 
   /// Memory admission bound of this PM.
   [[nodiscard]] core::MemMib mem_capacity() const noexcept {
@@ -115,7 +107,6 @@ class VNodeManager {
   [[nodiscard]] core::MemMib committed_mem() const noexcept { return committed_mem_; }
   [[nodiscard]] std::size_t vm_count() const noexcept { return vm_to_vnode_.size(); }
   [[nodiscard]] bool hosts(core::VmId vm) const { return vm_to_vnode_.contains(vm); }
-  [[nodiscard]] PlacementEngine engine() const noexcept { return engine_; }
 
   /// Times the placement engine (pick_target) actually ran — cache hits from
   /// a can_host()/deploy() pair count once. Test/diagnostic instrumentation.
@@ -161,7 +152,6 @@ class VNodeManager {
   std::shared_ptr<const topo::DistanceMatrix> distances_;
   PoolingPolicy pooling_;
   double mem_oversub_ = 1.0;
-  PlacementEngine engine_ = PlacementEngine::kFast;
   bool draining_ = false;
   std::map<VNodeId, VNode> vnodes_;  // ordered for deterministic iteration
   std::map<core::VmId, VNodeId> vm_to_vnode_;
@@ -171,9 +161,9 @@ class VNodeManager {
   core::MemMib committed_mem_ = 0;
   VNodeId next_id_ = 0;
   PlacementScratch scratch_;
-  // Persistent per-vNode distance frontiers (fast engine only): the sum
-  // frontier survives every resize, the min frontier every grow — see
-  // placement.hpp. Audited against recomputation by check_invariants.
+  // Persistent per-vNode distance frontiers: the sum frontier survives
+  // every resize, the min frontier every grow — see placement.hpp. Audited
+  // against recomputation by check_invariants.
   std::map<VNodeId, DistanceFrontier> frontiers_;
 
   // Target memo: valid while nothing mutated since it was computed.

@@ -22,8 +22,8 @@
 //  3. dirty ids >= hosts.size() are rolled-back openings and are dropped,
 //     exactly like PlacementIndex::sync.
 //
-// The index is owned by VCluster behind the same --index escape hatch as
-// the placement index: disabling it restores the verbatim naive
+// The index is owned by VCluster behind the same index test seam as the
+// placement index: disabling it restores the verbatim naive
 // plan_interference scan, which is what keeps the incremental path
 // differentially tested by the index {on,off} acceptance matrix.
 #pragma once

@@ -29,10 +29,9 @@ Rebalancer::Rebalancer(std::unique_ptr<Scorer> scorer) : scorer_(std::move(score
 
 MigrationPlan Rebalancer::plan(const VCluster& cluster,
                                std::size_t max_migrations) const {
-  // The incremental path needs columnar scores; a scorer that cannot provide
-  // them (or the --index=off escape hatch) falls back to the verbatim naive
-  // pass, keeping both differentially comparable.
-  if (cluster.index_enabled() && scorer_->supports_cols()) {
+  // With the index machinery disabled (a test seam) the verbatim naive pass
+  // runs, keeping both differentially comparable.
+  if (cluster.index_enabled()) {
     return plan_incremental(cluster, max_migrations);
   }
   return plan_naive(cluster, max_migrations);
@@ -122,7 +121,7 @@ MigrationPlan Rebalancer::plan_interference(const VCluster& cluster,
   if (!options.enabled) {
     return MigrationPlan{};
   }
-  // The cluster's heat index carries the --index escape hatch: nullptr
+  // The cluster's heat index carries the index test seam: nullptr
   // means the verbatim naive scan must run. Mixed quantization widths void
   // the cross-bucket ordering the incremental scans rely on.
   const HeatIndex* index = cluster.synced_heat_index();

@@ -88,7 +88,7 @@ class Rebalancer {
                                    std::size_t max_migrations) const;
 
   /// The original O(fleet-copy) pass, kept verbatim as the differential
-  /// reference for plan() (the --index=off escape hatch also lands here).
+  /// reference for plan() (a cluster with its index disabled lands here).
   [[nodiscard]] MigrationPlan plan_naive(const VCluster& cluster,
                                          std::size_t max_migrations) const;
 

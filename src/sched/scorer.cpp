@@ -6,11 +6,6 @@
 
 namespace slackvm::sched {
 
-double Scorer::score(const HostCols& /*host*/, const core::VmSpec& /*spec*/) const {
-  SLACKVM_THROW("Scorer::score(HostCols): scorer '" + name() +
-                "' does not support columnar scoring");
-}
-
 double ProgressScorer::score(const HostState& host, const core::VmSpec& spec) const {
   const core::Resources alloc = host.alloc();
   const core::CoreCount delta_cores = host.cores_with(spec) - alloc.cores;
@@ -91,15 +86,6 @@ double CompositeScorer::score(const HostState& host, const core::VmSpec& spec) c
     total += part.weight * part.scorer->score(host, spec);
   }
   return total;
-}
-
-bool CompositeScorer::supports_cols() const noexcept {
-  for (const Part& part : parts_) {
-    if (!part.scorer->supports_cols()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 double CompositeScorer::score(const HostCols& host, const core::VmSpec& spec) const {

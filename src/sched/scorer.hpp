@@ -52,15 +52,11 @@ class Scorer {
                                      const core::VmSpec& spec) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// True when the columnar overload below is implemented and returns the
-  /// bit-identical double score(HostState) would for the host the columns
-  /// mirror. Planners fall back to the naive HostState path otherwise
-  /// (the same discipline as the PlacementIndex bypass).
-  [[nodiscard]] virtual bool supports_cols() const noexcept { return false; }
-
-  /// Columnar twin of score(); only callable when supports_cols().
+  /// Columnar twin of score(): must return the bit-identical double
+  /// score(HostState) would for the host the columns mirror (the
+  /// incremental rebalance planner scores through it).
   [[nodiscard]] virtual double score(const HostCols& host,
-                                     const core::VmSpec& spec) const;
+                                     const core::VmSpec& spec) const = 0;
 };
 
 /// Paper Algorithm 2. The candidate VM footprint is host-aware: the cores
@@ -72,7 +68,6 @@ class ProgressScorer final : public Scorer {
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override { return "progress-to-target-ratio"; }
 
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
   [[nodiscard]] double score(const HostCols& host,
                              const core::VmSpec& spec) const override;
 };
@@ -85,7 +80,6 @@ class BestFitScorer final : public Scorer {
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override { return "best-fit"; }
 
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
   [[nodiscard]] double score(const HostCols& host,
                              const core::VmSpec& spec) const override;
 };
@@ -97,7 +91,6 @@ class WorstFitScorer final : public Scorer {
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override { return "worst-fit"; }
 
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
   [[nodiscard]] double score(const HostCols& host,
                              const core::VmSpec& spec) const override;
 
@@ -119,7 +112,6 @@ class InterferenceScorer final : public Scorer {
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override;
 
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
   [[nodiscard]] double score(const HostCols& host,
                              const core::VmSpec& spec) const override;
 
@@ -140,9 +132,8 @@ class CompositeScorer final : public Scorer {
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override;
 
-  /// Columnar when every part is (the weighted sum runs in part order, so
-  /// the float result matches the HostState overload exactly).
-  [[nodiscard]] bool supports_cols() const noexcept override;
+  /// The weighted sum runs in part order, so the float result matches the
+  /// HostState overload exactly.
   [[nodiscard]] double score(const HostCols& host,
                              const core::VmSpec& spec) const override;
 

@@ -58,9 +58,10 @@ class VCluster {
 
   /// Incremental candidate index (placement_index.hpp), on by default:
   /// try_place consults it instead of the naive O(hosts) policy scan, with
-  /// provably identical selection (differential-tested). Disabling it is
-  /// the --index=off escape hatch that preserves the exact pre-index code
-  /// path; re-enabling rebuilds the index from live state.
+  /// provably identical selection (differential-tested). Disabling it is a
+  /// test seam that runs the exact pre-index code path, so the
+  /// differential tests can compare the two; re-enabling rebuilds the
+  /// index from live state.
   void set_index_enabled(bool enabled) {
     index_enabled_ = enabled;
     if (!enabled) {
@@ -200,8 +201,8 @@ class VCluster {
 
   /// The quantized-heat bucket index serving plan_interference, its dirty
   /// log replayed, or nullptr while the index machinery is disabled
-  /// (--index=off escape hatch: the rebalancer then falls back to the
-  /// verbatim naive scans). Created lazily on first use, like the
+  /// (test seam: the rebalancer then falls back to the verbatim naive
+  /// scans). Created lazily on first use, like the
   /// placement index; logically const (the member is a mutable cache).
   [[nodiscard]] const HeatIndex* synced_heat_index() const;
 

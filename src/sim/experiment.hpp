@@ -44,10 +44,9 @@ struct ExperimentConfig {
   /// --shards).
   std::size_t shards = 1;
   /// Consult the incremental placement index (sched/placement_index.hpp)
-  /// during replays. Host selection is provably identical either way
-  /// (differential-tested), so like `parallelism` this knob only changes
-  /// wall-clock time; off is the escape hatch that runs the exact naive
-  /// scan (CLI/scenario: --index=on|off).
+  /// during replays. A test seam, not a user option: host selection is
+  /// provably identical either way, and off runs the exact naive scan so
+  /// the differential tests can compare the two.
   bool use_index = true;
   /// Fault injection (sim/fault.hpp); disabled by default. A zero fault
   /// seed derives per repetition from the cell's workload seed, so each

@@ -28,7 +28,8 @@
 //
 // Everything is replayed through the EventQueue (ties break by insertion
 // order), so a fault-heavy run is bit-identical across --parallelism
-// settings and --index=on|off — proven by tests/sim_fault_test.cpp.
+// settings and with the placement index on or off — proven by
+// tests/sim_fault_test.cpp.
 #pragma once
 
 #include <cstdint>

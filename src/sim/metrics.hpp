@@ -76,6 +76,9 @@ struct RunResult {
   std::size_t itf_applied = 0;    ///< evictions applied instantly
   std::size_t itf_requested = 0;  ///< evictions handed to the MigrationEngine
   std::size_t itf_skipped = 0;    ///< planned evictions no longer applicable
+
+  /// Every field; doubles compare exactly (identical runs agree bit for bit).
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
 /// Streaming collector driven by the replay loop.

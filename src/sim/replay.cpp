@@ -367,7 +367,8 @@ class Shard {
   /// Heat is cluster-local state, and no observation fires: a run only
   /// differs from a heat-free run through actual placement changes. The
   /// demand cache is handed over only when the cluster's index machinery
-  /// is on, so --index=off keeps the naive sample as the live reference.
+  /// is on, so the index-off test seam keeps the naive sample as the live
+  /// reference.
   void heat_pass(core::SimTime now) {
     const sched::InterferenceOptions& itf = rebalance_->interference;
     for (std::size_t i = 0; i < clusters_.size(); ++i) {

@@ -67,17 +67,31 @@ Scenario parse_scenario(std::istream& input) {
     if (!(in >> value)) {
       fail("missing value for '" + key + "'");
     }
+    // Validate eagerly so errors surface at parse time, not mid-run, and
+    // name the line.
+    const auto check = [&](auto&& validate) {
+      try {
+        (void)validate();
+      } catch (const core::SlackError& e) {
+        fail(e.what());
+      }
+    };
     if (key == "name") {
       scenario.name = value;
     } else if (key == "provider") {
       scenario.provider = value;
+      check([&] { return &scenario.catalog(); });
     } else if (key == "distribution") {
       if (value.size() != 1) {
         fail("distribution must be a single letter A..O");
       }
       scenario.distribution = value[0];
+      check([&] { return &scenario.mix(); });
     } else if (key == "population") {
       scenario.config.generator.target_population = count(value, key);
+      if (scenario.config.generator.target_population == 0) {
+        fail("population must be positive");
+      }
     } else if (key == "seed") {
       scenario.config.generator.seed = count(value, key);
     } else if (key == "repetitions") {
@@ -88,14 +102,6 @@ Scenario parse_scenario(std::istream& input) {
       scenario.config.shards = count(value, key, kMaxShards);
       if (scenario.config.shards == 0) {
         fail("shards must be >= 1");
-      }
-    } else if (key == "index") {
-      if (value == "on" || value == "1") {
-        scenario.config.use_index = true;
-      } else if (value == "off" || value == "0") {
-        scenario.config.use_index = false;
-      } else {
-        fail("index must be on|off");
       }
     } else if (key == "mem_oversub") {
       scenario.config.mem_oversub = real(value, key);
@@ -253,12 +259,6 @@ Scenario parse_scenario(std::istream& input) {
       }
     }
   }
-  // Validate eagerly so errors surface at parse time, not mid-run.
-  (void)scenario.catalog();
-  (void)scenario.mix();
-  if (scenario.config.generator.target_population == 0) {
-    SLACKVM_THROW("scenario: population must be positive");
-  }
   return scenario;
 }
 
@@ -271,7 +271,6 @@ void write_scenario(const Scenario& scenario, std::ostream& output) {
   output << "repetitions " << scenario.config.repetitions << '\n';
   output << "parallelism " << scenario.config.parallelism << '\n';
   output << "shards " << scenario.config.shards << '\n';
-  output << "index " << (scenario.config.use_index ? "on" : "off") << '\n';
   output << "mem_oversub " << scenario.config.mem_oversub << '\n';
   output << "horizon_days " << scenario.config.generator.horizon / (24 * 3600) << '\n';
   output << "lifetime_days " << scenario.config.generator.mean_lifetime / (24 * 3600)

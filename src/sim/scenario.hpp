@@ -18,9 +18,7 @@
 //   shards       1                 # sharded datacenter engine (sim/shard.hpp):
 //                                  # 1 = serial reference; > 1 = cell-partitioned
 //                                  # sharded replay (bit-identical across
-//                                  # parallelism/index for a given value)
-//   index        on                # incremental placement index (on|off);
-//                                  # results identical, off = naive scan
+//                                  # parallelism for a given value)
 //   mem_oversub  1.0
 //   horizon_days 7
 //   lifetime_days 2

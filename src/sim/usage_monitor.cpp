@@ -153,23 +153,13 @@ void DemandCache::restamp(const sched::VCluster& cluster) {
   }
 }
 
-
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache) {
-  if (cache == nullptr) {
-    const std::vector<HostUsage> usage = sample_host_usage(cluster, t);
-    for (sched::HostId h = 0; h < usage.size(); ++h) {
-      const double q =
-          usage[h].capacity_cores > 0
-              ? usage[h].demand_cores / static_cast<double>(usage[h].capacity_cores)
-              : 0.0;
-      cluster.set_host_heat(
-          h, alpha * q + (1.0 - alpha) * cluster.host_heat(h), bucket_width);
-    }
-    return usage.size();
-  }
-  const std::vector<HostUsage>& usage = cache->sample(cluster, t);
+  std::vector<HostUsage> sampled;  // holds the sample when no cache is given
+  const std::vector<HostUsage>& usage =
+      cache != nullptr ? cache->sample(cluster, t)
+                       : (sampled = sample_host_usage(cluster, t));
   for (sched::HostId h = 0; h < usage.size(); ++h) {
     const double q =
         usage[h].capacity_cores > 0
@@ -181,7 +171,9 @@ std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
   // The EWMA writes bumped epochs on bucket crossings; adopt them now so a
   // later lossy journal round does not mistake heat churn for membership
   // churn.
-  cache->restamp(cluster);
+  if (cache != nullptr) {
+    cache->restamp(cluster);
+  }
   return usage.size();
 }
 

@@ -256,7 +256,7 @@ struct TraceReader::Impl {
     std::string_view line;
     std::uint64_t offset = 0;
     if (!next_line(line, offset)) {
-      SLACKVM_THROW("TraceReader(" + source + "): empty input");
+      SLACKVM_THROW("TraceReader(" + source + "): line 1, column 'header': empty input");
     }
     line_no = 1;
     consumed = offset + line.size();
@@ -270,13 +270,14 @@ struct TraceReader::Impl {
       } else if (header == kRealHeader) {
         fmt = TraceFormat::kReal;
       } else {
-        SLACKVM_THROW("TraceReader(" + source + "): unrecognized header \"" +
+        SLACKVM_THROW("TraceReader(" + source +
+                      "): line 1, column 'header': unrecognized header \"" +
                       preview(header) + "\"; expected \"" +
                       std::string(kNativeHeader) + "\" (native) or \"" +
                       std::string(kRealHeader) + "\" (real)");
       }
     } else {
-      // An explicit format skips the header unvalidated, like read_csv.
+      // An explicit format skips the header unvalidated.
       fmt = options.format;
     }
     header_done = true;
@@ -287,7 +288,7 @@ struct TraceReader::Impl {
   /// comma itself; error messages still name the column and quote the field.
   /// Doubles use Clinger's exact fast path — mantissa m < 2^53 from at most
   /// 19 digits and |exp10| <= 22 resolve as one correctly-rounded multiply/
-  /// divide, bit-identical to the strtod/stod read_csv uses; everything
+  /// divide, bit-identical to strtod/stod; everything
   /// else defers to std::from_chars (correctly rounded by specification).
   void parse_row(std::string_view line, std::uint64_t offset,
                  core::VmInstance& out) {
@@ -405,11 +406,21 @@ struct TraceReader::Impl {
     };
 
     out.id.value = u64_field("id");
-    out.spec.vcpus = static_cast<core::VcpuCount>(u64_field("vcpus"));
-    if (out.spec.vcpus == 0) {
+    // Range-check before narrowing: a wrapped size would silently shrink
+    // (or, for memory, negate) the VM.
+    const std::uint64_t vcpus = u64_field("vcpus");
+    if (vcpus == 0) {
       fail(offset, "vcpus", line, "vcpus must be >= 1");
     }
-    out.spec.mem_mib = static_cast<core::MemMib>(u64_field("mem_mib"));
+    if (vcpus > std::numeric_limits<core::VcpuCount>::max()) {
+      fail(offset, "vcpus", line, "vcpus out of range: " + std::to_string(vcpus));
+    }
+    out.spec.vcpus = static_cast<core::VcpuCount>(vcpus);
+    const std::uint64_t mem_mib = u64_field("mem_mib");
+    if (mem_mib > static_cast<std::uint64_t>(std::numeric_limits<core::MemMib>::max())) {
+      fail(offset, "mem_mib", line, "mem_mib out of range: " + std::to_string(mem_mib));
+    }
+    out.spec.mem_mib = static_cast<core::MemMib>(mem_mib);
     if (native) {
       const std::uint64_t ratio = u64_field("level");
       if (ratio < 1 || ratio > core::OversubLevel::kMaxRatio) {
@@ -463,7 +474,7 @@ struct TraceReader::Impl {
     }
     if (out.arrival < last_arrival) {
       fail(offset, "arrival", line,
-           "rows must be sorted by arrival (write_csv emits them sorted); this "
+           "rows must be sorted by arrival (the writer emits them sorted); this "
            "row arrives before the previous one");
     }
     last_arrival = out.arrival;
@@ -588,8 +599,8 @@ TraceReader::ScanInfo TraceReader::scan(const std::string& path,
 
 Trace TraceReader::read_all() {
   std::vector<core::VmInstance> vms;
-  // Same sizing heuristic as Trace::read_csv (~45 bytes/row) to avoid
-  // growth reallocations; the input size is known for every backing.
+  // Size for ~45 bytes/row (a native-format row's average) to avoid growth
+  // reallocations; the input size is known for every backing.
   std::uint64_t input_bytes = 0;
   if (impl_->contiguous) {
     input_bytes = impl_->size;
@@ -623,7 +634,7 @@ void write_csv_fast(const Trace& trace, std::ostream& os, TraceFormat format) {
   const auto put_time = [&out](double v) {
     std::array<char, 32> tmp{};
     // Shortest round-trip form: reading the file back reproduces the exact
-    // double, unlike write_csv's default 6-significant-digit truncation.
+    // double (ostream's default would keep only 6 significant digits).
     const auto res = std::to_chars(tmp.data(), tmp.data() + tmp.size(), v);
     out.append(tmp.data(), res.ptr);
   };

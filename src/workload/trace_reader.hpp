@@ -1,9 +1,8 @@
 // Streaming trace frontend: zero-copy CSV ingestion of multi-GB traces.
 //
-// Trace::read_csv materializes the whole file through istream/getline and
-// per-field std::string temporaries — fine for tests, hopeless for real
-// datacenter traces (the paper's SAP Cloud Infrastructure month is tens of
-// millions of rows). TraceReader is the production path:
+// TraceReader is the product's only trace parser (real datacenter traces —
+// the paper's SAP Cloud Infrastructure month — run to tens of millions of
+// rows), and write_csv_fast its only writer:
 //
 //  * input is either mmap'ed (MADV_SEQUENTIAL, with the processed prefix
 //    periodically dropped via MADV_DONTNEED) or read in fixed-size chunks
@@ -14,9 +13,9 @@
 //  * integers use a hand-rolled overflow-checked u64 parser and times use
 //    an exact-fast-path double parser (mantissa < 2^53 and |exp10| <= 22
 //    resolve with a single rounding; everything else falls back to
-//    std::from_chars) — both produce bit-identical values to the
-//    stoull/stod calls in read_csv, which stays in the tree verbatim as
-//    the differential reference;
+//    std::from_chars) — both produce bit-identical values to stoull/stod,
+//    which the test-only istream reference parser
+//    (tests/reference/trace_csv.hpp) uses and the parity tests compare;
 //  * iteration is pull-based with one row of lookahead (peek/advance), the
 //    shape sim::EventSource needs, so a replay never holds more than the
 //    active window of the trace in memory.
@@ -24,7 +23,7 @@
 // Two on-disk formats are supported (auto-detected from the header line):
 //
 //   native  id,vcpus,mem_mib,level,usage,arrival,departure
-//           — the Trace::write_csv round-trip format;
+//           — the write_csv_fast round-trip format;
 //   real    id,vcpus,mem_mib,arrival,departure
 //           — real-provider style (SAP/Azure traces carry sizes and
 //             lifetimes but no oversubscription contract): the level is
@@ -32,9 +31,10 @@
 //             core::classify_level and the usage class defaults to
 //             kSteady.
 //
-// Validation matches read_csv exactly (same rejections, same semantics);
-// error messages additionally carry the byte offset of the offending row so
-// a multi-GB file can be inspected with dd/tail instead of counting lines.
+// Validation matches the reference parser exactly (same rejections, same
+// semantics); error messages carry the line, the column and the byte offset
+// of the offending row so a multi-GB file can be inspected with dd/tail
+// instead of counting lines.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +53,7 @@ class Trace;
 /// On-disk trace flavour; see the file comment.
 enum class TraceFormat : std::uint8_t {
   kAuto,    ///< resolve from the header line (constructor-time detection)
-  kNative,  ///< 7-column Trace::write_csv format
+  kNative,  ///< 7-column native format (write_csv_fast's default)
   kReal,    ///< 5-column real-provider format (level classified, usage steady)
 };
 
@@ -88,7 +88,7 @@ class TraceReader {
 
   /// Copy the next row into `out`; false once the input is exhausted.
   /// Throws SlackError (line, column, byte offset, raw row) on malformed
-  /// input, exactly where Trace::read_csv would.
+  /// input, exactly where the reference parser would.
   bool next(core::VmInstance& out);
 
   /// One-row lookahead: the next row without consuming it, or nullptr at
@@ -131,11 +131,10 @@ class TraceReader {
 
 /// Fast CSV serializer: std::to_chars into a chunked buffer instead of
 /// ostream operator<< per field. Times are written in shortest
-/// round-trip form, so (unlike write_csv's default 6-significant-digit
+/// round-trip form, so (unlike ostream's default 6-significant-digit
 /// precision) reading the output back reproduces every timestamp
 /// bit-exactly. `format` selects the native 7-column or real 5-column
-/// layout (kAuto is invalid here). Shared by tools/trace_synth and
-/// bench/micro_trace.
+/// layout (kAuto is invalid here). The product's only trace writer.
 void write_csv_fast(const Trace& trace, std::ostream& os,
                     TraceFormat format = TraceFormat::kNative);
 

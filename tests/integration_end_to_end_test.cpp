@@ -13,6 +13,7 @@
 #include "sim/replay.hpp"
 #include "topology/builders.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace_reader.hpp"
 
 namespace slackvm {
 namespace {
@@ -34,9 +35,10 @@ TEST(EndToEnd, GeneratedTraceSurvivesCsvAndReplaysIdentically) {
       workload::Generator(workload::ovhcloud_catalog(), workload::distribution('F'),
                           gen_config(21))
           .generate();
-  std::stringstream buffer;
-  original.write_csv(buffer);
-  const workload::Trace restored = workload::Trace::read_csv(buffer);
+  std::ostringstream buffer;
+  workload::write_csv_fast(original, buffer, workload::TraceFormat::kNative);
+  const workload::Trace restored =
+      workload::TraceReader::from_string(buffer.str()).read_all();
   ASSERT_EQ(original.size(), restored.size());
 
   sim::Datacenter dc_a =
@@ -47,6 +49,10 @@ TEST(EndToEnd, GeneratedTraceSurvivesCsvAndReplaysIdentically) {
   const sim::RunResult b = sim::replay(dc_b, restored);
   EXPECT_EQ(a.opened_pms, b.opened_pms);
   EXPECT_EQ(a.placed_vms, b.placed_vms);
+  // Every field, doubles bit for bit: the CSV keeps every timestamp exact.
+  EXPECT_EQ(a.avg_unalloc_cpu_share, b.avg_unalloc_cpu_share);
+  EXPECT_EQ(a.avg_alloc_cores, b.avg_alloc_cores);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(EndToEnd, SharedClusterPlacementsAreLocallyRealizable) {

@@ -1,16 +1,21 @@
 // Differential proof that the incremental local pinning engine
 // (local/placement.hpp fast path + the VNodeManager bookkeeping built on
-// it) is bit-identical to the naive reference: same vNode CPU sets, same
-// pin updates, same pooling choices, over randomized deploy/remove/retune
-// churn on several builder topologies. Mirrors the naive-vs-indexed churn
+// it) is bit-identical to the naive reference (tests/reference/
+// local_naive.hpp): same vNode CPU sets and pin updates, over randomized
+// deploy/remove/retune churn on several builder topologies. Mirrors the naive-vs-indexed churn
 // treatment of sched::PlacementIndex (tests/sched_placement_index_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "local/placement.hpp"
 #include "local/vnode_manager.hpp"
+#include "reference/local_naive.hpp"
 #include "topology/builders.hpp"
 #include "topology/distance.hpp"
 
@@ -98,36 +103,93 @@ TEST(FastpathFunctions, SeedWithEmptyOccupiedMatchesNaive) {
 }
 
 // ---------------------------------------------------------------------------
-// Manager-level differential churn: two managers, one per engine, driven by
-// the identical randomized event stream; compared decision-by-decision and
-// state-by-state.
+// Manager-level differential churn: one manager driven by a randomized
+// deploy/remove/retune stream. Before every operation the test snapshots
+// the manager's state; afterwards it recomputes the one resize the
+// operation made with the naive reference on that snapshot and requires
+// the manager's result to match. Exactly one vNode changes per operation,
+// so if every decision matches the naive one, the state stays the state a
+// naive manager would reach — by induction as strong as running a twin
+// manager on the reference engine.
 
-void expect_identical_state(const VNodeManager& fast, const VNodeManager& ref,
-                            const std::string& context) {
-  ASSERT_EQ(fast.free_cpus(), ref.free_cpus()) << context;
-  ASSERT_EQ(fast.occupied_cpus(), ref.occupied_cpus()) << context;
-  ASSERT_EQ(fast.committed_mem(), ref.committed_mem()) << context;
-  ASSERT_EQ(fast.vnodes().size(), ref.vnodes().size()) << context;
-  auto it_fast = fast.vnodes().begin();
-  auto it_ref = ref.vnodes().begin();
-  for (; it_fast != fast.vnodes().end(); ++it_fast, ++it_ref) {
-    ASSERT_EQ(it_fast->first, it_ref->first) << context;
-    const VNode& a = it_fast->second;
-    const VNode& b = it_ref->second;
-    ASSERT_EQ(a.level(), b.level()) << context;
-    ASSERT_EQ(a.effective_level(), b.effective_level()) << context;
-    ASSERT_EQ(a.cpus(), b.cpus()) << context << " vnode " << a.id();
-    ASSERT_EQ(a.vm_ids(), b.vm_ids()) << context << " vnode " << a.id();
+struct ManagerSnapshot {
+  topo::CpuSet free_cpus;
+  topo::CpuSet occupied;
+  std::map<VNodeId, topo::CpuSet> nodes;
+};
+
+ManagerSnapshot snapshot(const VNodeManager& manager) {
+  ManagerSnapshot snap{manager.free_cpus(), manager.occupied_cpus(), {}};
+  for (const auto& [id, node] : manager.vnodes()) {
+    snap.nodes.emplace(id, node.cpus());
+  }
+  return snap;
+}
+
+/// One vNode went from `before` to `after` CPUs (nullptr: it did not exist
+/// before / no longer exists): the change must be the naive reference's
+/// seed, extension or release on the snapshot.
+void expect_naive_resize(const topo::DistanceMatrix& dm, const ManagerSnapshot& snap,
+                         const topo::CpuSet* before, const topo::CpuSet* after,
+                         const std::string& context) {
+  if (before == nullptr) {  // a new vNode: seeded far from the others
+    const auto seed =
+        naive::choose_seed_cpus(dm, snap.free_cpus, snap.occupied, after->count());
+    ASSERT_TRUE(seed.has_value()) << context;
+    ASSERT_EQ(*after, *seed) << context << " seed";
+  } else if (after == nullptr) {  // the last VM left: every CPU returns
+    ASSERT_TRUE(snap.occupied.contains(*before)) << context;
+  } else if (after->contains(*before)) {
+    const auto extension = naive::choose_extension_cpus(
+        dm, snap.free_cpus, *before, after->count() - before->count());
+    ASSERT_TRUE(extension.has_value()) << context;
+    ASSERT_EQ(*after, *before | *extension) << context << " extension";
+  } else {
+    ASSERT_TRUE(before->contains(*after)) << context << " neither grew nor shrank";
+    const auto released =
+        naive::choose_release_cpus(dm, *before, before->count() - after->count());
+    ASSERT_EQ(*after, *before - released) << context << " release";
   }
 }
 
-void expect_identical_repins(const std::vector<PinUpdate>& fast,
-                             const std::vector<PinUpdate>& ref,
-                             const std::string& context) {
-  ASSERT_EQ(fast.size(), ref.size()) << context;
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    ASSERT_EQ(fast[i].vm, ref[i].vm) << context;
-    ASSERT_EQ(fast[i].cpus, ref[i].cpus) << context;
+/// Compare the manager against the naive reference applied to `snap`, the
+/// state before the operation: at most one vNode may have changed, its
+/// change must be the naive decision, and the free and occupied sets must
+/// follow the vNodes.
+void expect_naive_step(const topo::DistanceMatrix& dm, const ManagerSnapshot& snap,
+                       const VNodeManager& manager, const std::string& context) {
+  std::size_t changed = 0;
+  for (const auto& [id, cpus] : snap.nodes) {
+    const auto it = manager.vnodes().find(id);
+    const topo::CpuSet* after = it == manager.vnodes().end() ? nullptr : &it->second.cpus();
+    if (after == nullptr || *after != cpus) {
+      ++changed;
+      ASSERT_NO_FATAL_FAILURE(expect_naive_resize(dm, snap, &cpus, after, context));
+    }
+  }
+  for (const auto& [id, node] : manager.vnodes()) {
+    if (!snap.nodes.contains(id)) {
+      ++changed;
+      ASSERT_NO_FATAL_FAILURE(expect_naive_resize(dm, snap, nullptr, &node.cpus(), context));
+    }
+  }
+  ASSERT_LE(changed, 1U) << context;
+  topo::CpuSet occupied(manager.topology().cpu_count());
+  for (const auto& [id, node] : manager.vnodes()) {
+    occupied |= node.cpus();
+  }
+  ASSERT_EQ(manager.occupied_cpus(), occupied) << context;
+  ASSERT_EQ(manager.free_cpus(), manager.topology().all_cpus() - occupied) << context;
+}
+
+/// Every VM of the resized vNode is repinned to the node's whole CPU set,
+/// in ascending VM order.
+void expect_repins_match(const std::vector<PinUpdate>& repins, const VNode& node,
+                         const std::string& context) {
+  ASSERT_EQ(repins.size(), node.vm_ids().size()) << context;
+  for (std::size_t i = 0; i < repins.size(); ++i) {
+    ASSERT_EQ(repins[i].vm, node.vm_ids()[i]) << context;
+    ASSERT_EQ(repins[i].cpus, node.cpus()) << context;
   }
 }
 
@@ -139,14 +201,15 @@ TEST_P(FastpathChurn, BitIdenticalAcrossEngines) {
   for (const auto& [name, machine] : builder_topologies()) {
     const PoolingPolicy policy =
         pooling ? PoolingPolicy::kUpgrade : PoolingPolicy::kNone;
-    VNodeManager fast(machine, policy, 1.0, PlacementEngine::kFast);
-    VNodeManager ref(machine, policy, 1.0, PlacementEngine::kNaive);
+    VNodeManager manager(machine, policy, 1.0);
+    const auto dm = topo::DistanceMatrixCache::shared(machine);
     core::SplitMix64 rng(seed);
     std::vector<VmId> alive;
     std::uint64_t next_id = 1;
     for (int event = 0; event < 3500; ++event) {
       const std::string context =
           name + " seed=" + std::to_string(seed) + " event=" + std::to_string(event);
+      const ManagerSnapshot before = snapshot(manager);
       const double u = alive.empty() ? 0.0 : rng.uniform();
       if (u < 0.55) {
         VmSpec s;
@@ -154,50 +217,54 @@ TEST_P(FastpathChurn, BitIdenticalAcrossEngines) {
         s.mem_mib = core::gib(static_cast<std::int64_t>(1 + rng.below(8)));
         s.level = OversubLevel{static_cast<std::uint8_t>(1 + rng.below(3))};
         const VmId id{next_id++};
-        const bool predicted_fast = fast.can_host(s);
-        const bool predicted_ref = ref.can_host(s);
-        ASSERT_EQ(predicted_fast, predicted_ref) << context;
-        const auto result_fast = fast.deploy(id, s);
-        const auto result_ref = ref.deploy(id, s);
-        ASSERT_EQ(result_fast.has_value(), result_ref.has_value()) << context;
-        ASSERT_EQ(result_fast.has_value(), predicted_fast) << context;
-        if (result_fast) {
-          ASSERT_EQ(result_fast->vnode, result_ref->vnode) << context;
-          ASSERT_EQ(result_fast->pooled, result_ref->pooled) << context;
-          expect_identical_repins(result_fast->repins, result_ref->repins, context);
+        const bool predicted = manager.can_host(s);
+        const auto result = manager.deploy(id, s);
+        ASSERT_EQ(result.has_value(), predicted) << context;
+        if (result) {
+          const VNode& node = manager.vnodes().at(result->vnode);
+          ASSERT_EQ(result->pooled, node.level() != s.level) << context;
+          ASSERT_NO_FATAL_FAILURE(expect_repins_match(result->repins, node, context));
           alive.push_back(id);
         }
       } else if (u < 0.9) {
         const std::size_t pick = rng.below(alive.size());
-        const auto repins_fast = fast.remove(alive[pick]);
-        const auto repins_ref = ref.remove(alive[pick]);
-        expect_identical_repins(repins_fast, repins_ref, context);
+        const VmId victim = alive[pick];
+        const auto home = std::ranges::find_if(manager.vnodes(), [&](const auto& entry) {
+          return std::ranges::binary_search(entry.second.vm_ids(), victim);
+        });
+        ASSERT_NE(home, manager.vnodes().end()) << context;
+        const VNodeId node = home->first;
+        const auto repins = manager.remove(victim);
         alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
-      } else if (!fast.vnodes().empty()) {
+        if (manager.vnodes().contains(node)) {
+          ASSERT_NO_FATAL_FAILURE(
+              expect_repins_match(repins, manager.vnodes().at(node), context));
+        } else {
+          ASSERT_TRUE(repins.empty()) << context;
+        }
+      } else if (!manager.vnodes().empty()) {
         // Retune a random vNode to a random effective level within contract.
-        const std::size_t pick = rng.below(fast.vnodes().size());
-        auto it = fast.vnodes().begin();
+        const std::size_t pick = rng.below(manager.vnodes().size());
+        auto it = manager.vnodes().begin();
         std::advance(it, static_cast<std::ptrdiff_t>(pick));
         const VNodeId node = it->first;
         const auto contract = it->second.level();
         const OversubLevel effective{
             static_cast<std::uint8_t>(1 + rng.below(contract.ratio()))};
-        const auto retune_fast = fast.retune(node, effective);
-        const auto retune_ref = ref.retune(node, effective);
-        ASSERT_EQ(retune_fast.has_value(), retune_ref.has_value()) << context;
-        if (retune_fast) {
-          expect_identical_repins(*retune_fast, *retune_ref, context);
+        const auto retuned = manager.retune(node, effective);
+        if (retuned) {
+          ASSERT_NO_FATAL_FAILURE(
+              expect_repins_match(*retuned, manager.vnodes().at(node), context));
+        } else {
+          ASSERT_EQ(snapshot(manager).nodes, before.nodes) << context;
         }
       }
+      ASSERT_NO_FATAL_FAILURE(expect_naive_step(*dm, before, manager, context));
       if (event % 100 == 0) {
-        fast.check_invariants();
-        ref.check_invariants();
-        expect_identical_state(fast, ref, context);
+        manager.check_invariants();
       }
     }
-    expect_identical_state(fast, ref, name + " final");
-    fast.check_invariants();
-    ref.check_invariants();
+    manager.check_invariants();
   }
 }
 

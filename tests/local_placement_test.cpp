@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/local_naive.hpp"
 #include "topology/builders.hpp"
 
 namespace slackvm::local {

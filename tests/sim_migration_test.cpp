@@ -436,7 +436,7 @@ TEST(MigrationReplay, EngineLoopCommitsFlightsAndKeepsTheIdentity) {
   EXPECT_GT(result.host_failures, 0U);
   expect_counter_identity(result);
   EXPECT_TRUE(audit(dc).empty());
-  // The naive-scan escape hatch replays the identical decision sequence.
+  // The naive scan (index off) replays the identical decision sequence.
   Datacenter naive = Datacenter::shared(kWorker, sched::make_progress_policy);
   naive.set_index_enabled(false);
   const RunResult unindexed = replay(naive, trace, engine_rebalance(), nullptr,
@@ -461,7 +461,7 @@ TEST(MigrationReplay, DirectedFaultsAtEveryPhaseStayIdenticalAndAudited) {
   // Hand-crafted fail/drain/repair directives land before, during and after
   // the rebalance passes, so flights get hit in every phase (the unit suite
   // above pins each transition; this pins the integrated replay: identical
-  // across the index escape hatch, clean audits, identity intact).
+  // with the index on or off, clean audits, identity intact).
   ScopedDebugAudit audit_every_event;
   const workload::Trace trace = make_trace(80, 33);
   FaultConfig faults;

@@ -64,6 +64,20 @@ TEST(ScenarioParse, UnknownKeyRejectedWithLineNumber) {
   }
 }
 
+// The placement index is not a scenario option: an old file that still
+// sets it fails at its line instead of being silently accepted.
+TEST(ScenarioParse, RemovedIndexKeyRejectedWithLineNumber) {
+  std::istringstream in("population 100\nshards 2\nindex on\n");
+  try {
+    (void)parse_scenario(in);
+    FAIL() << "expected SlackError";
+  } catch (const core::SlackError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("scenario line 3:"), std::string::npos) << message;
+    EXPECT_NE(message.find("unknown key 'index'"), std::string::npos) << message;
+  }
+}
+
 TEST(ScenarioParse, BadValuesRejected) {
   std::istringstream bad_number("population many\n");
   EXPECT_THROW((void)parse_scenario(bad_number), core::SlackError);

@@ -1,6 +1,7 @@
 // Streaming trace frontend differential suite: workload::TraceReader must
-// accept exactly what Trace::read_csv accepts, reject exactly what it
-// rejects, and produce bit-identical VmInstances — across the contiguous
+// accept exactly what the istream reference parser (reference::read_csv,
+// tests/reference/trace_csv.hpp) accepts, reject exactly what it rejects,
+// and produce bit-identical VmInstances — across the contiguous
 // (from_string), chunked (tiny buffers forcing partial-line carries) and
 // mmap backings. Also pins the real-format level classifier, the
 // peek/advance lookahead contract, the scan() pre-pass, the byte-offset
@@ -12,11 +13,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/error.hpp"
+#include "reference/trace_csv.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/level_mix.hpp"
@@ -63,6 +66,19 @@ std::string fast_csv(const Trace& trace, TraceFormat format = TraceFormat::kNati
   return os.str();
 }
 
+/// Native-format text with ostream's default 6-significant-digit times, so
+/// many rows carry times that are not the shortest round-trip form.
+std::string six_digit_csv(const Trace& trace) {
+  std::ostringstream os;
+  os << kNativeHeader << '\n';
+  for (const core::VmInstance& vm : trace.vms()) {
+    os << vm.id.value << ',' << vm.spec.vcpus << ',' << vm.spec.mem_mib << ','
+       << static_cast<int>(vm.spec.level.ratio()) << ',' << core::to_string(vm.spec.usage)
+       << ',' << vm.arrival << ',' << vm.departure << '\n';
+  }
+  return os.str();
+}
+
 std::string write_temp_file(const std::string& name, const std::string& text) {
   const std::string path = testing::TempDir() + name;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -74,23 +90,21 @@ std::string write_temp_file(const std::string& name, const std::string& text) {
 
 // --- parser equivalence ------------------------------------------------------
 
-// On write_csv output (6-significant-digit times) the streaming parser must
+// On text with 6-significant-digit times the streaming parser must
 // produce exactly what the istream reference produces.
 TEST(TraceReader, NativeMatchesReadCsvBitExact) {
   const Trace trace = make_trace(200, 42);
-  std::ostringstream os;
-  trace.write_csv(os);
-  const std::string text = os.str();
+  const std::string text = six_digit_csv(trace);
 
   std::istringstream is(text);
-  const Trace reference = Trace::read_csv(is);
+  const Trace reference = reference::read_csv(is);
   Trace streamed = TraceReader::from_string(text).read_all();
   expect_same_rows(reference, streamed);
 }
 
 // write_csv_fast emits shortest-round-trip times: reading them back must
 // reproduce the original trace bit-exactly, and the streaming parser must
-// still agree with read_csv on that text.
+// still agree with the reference parser on that text.
 TEST(TraceReader, FastWriterRoundTripsTimestampsExactly) {
   const Trace trace = make_trace(150, 7);
   const std::string text = fast_csv(trace);
@@ -99,7 +113,7 @@ TEST(TraceReader, FastWriterRoundTripsTimestampsExactly) {
   expect_same_rows(trace, streamed);
 
   std::istringstream is(text);
-  const Trace reference = Trace::read_csv(is);
+  const Trace reference = reference::read_csv(is);
   expect_same_rows(reference, streamed);
 }
 
@@ -187,7 +201,7 @@ TEST(TraceReader, AutoDetectsBothHeaders) {
                core::SlackError);
 }
 
-// Like read_csv, an explicit format consumes the header line without
+// Like the reference parser, an explicit format consumes the header line without
 // validating it.
 TEST(TraceReader, ExplicitFormatSkipsHeaderUnvalidated) {
   TraceReaderOptions options;
@@ -202,12 +216,12 @@ TEST(TraceReader, ExplicitFormatSkipsHeaderUnvalidated) {
 
 TEST(TraceReader, EmptyInputThrowsLikeReadCsv) {
   std::istringstream empty("");
-  EXPECT_THROW((void)Trace::read_csv(empty), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(empty), core::SlackError);
   EXPECT_THROW((void)TraceReader::from_string("").read_all(), core::SlackError);
 }
 
 // Header-only files, blank lines between rows, and a missing trailing
-// newline are all fine — matching read_csv.
+// newline are all fine — matching the reference parser.
 TEST(TraceReader, ToleratesBlanksAndMissingFinalNewline) {
   EXPECT_TRUE(TraceReader::from_string(std::string(kNativeHeader) + "\n")
                   .read_all()
@@ -257,7 +271,7 @@ TEST(TraceReader, ScanReportsRowsAndHorizon) {
 
 // --- rejection parity and diagnostics ----------------------------------------
 
-// Every malformed row read_csv rejects, the streaming reader must reject
+// Every malformed row the reference parser rejects, the streaming reader must reject
 // too (same semantics; its messages add the byte offset).
 TEST(TraceReader, RejectsEverythingReadCsvRejects) {
   const std::vector<std::string> bad_rows = {
@@ -278,7 +292,7 @@ TEST(TraceReader, RejectsEverythingReadCsvRejects) {
     SCOPED_TRACE(row);
     const std::string text = std::string(kNativeHeader) + "\n" + row + "\n";
     std::istringstream is(text);
-    EXPECT_THROW((void)Trace::read_csv(is), core::SlackError);
+    EXPECT_THROW((void)reference::read_csv(is), core::SlackError);
     EXPECT_THROW((void)TraceReader::from_string(text).read_all(),
                  core::SlackError);
   }
@@ -287,9 +301,39 @@ TEST(TraceReader, RejectsEverythingReadCsvRejects) {
   const std::string unsorted = std::string(kNativeHeader) +
                                "\n1,1,1024,2,steady,10,20\n2,1,1024,2,steady,5,9\n";
   std::istringstream is(unsorted);
-  EXPECT_THROW((void)Trace::read_csv(is), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(is), core::SlackError);
   EXPECT_THROW((void)TraceReader::from_string(unsorted).read_all(),
                core::SlackError);
+}
+
+// Sizes that fit a u64 but not the VM's fields are rejected, not narrowed:
+// a wrapped vcpus count would shrink the VM and a wrapped memory size would
+// make it negative. (The reference parser narrows them silently, so these
+// rows are not part of the parity list above.)
+TEST(TraceReader, RejectsSizesThatWouldWrap) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"1,4294967298,1024,2,steady,0,5", "'vcpus'"},
+      {"1,1,9223372036854775808,2,steady,0,5", "'mem_mib'"},
+      {"1,1,18446744073709551615,2,steady,0,5", "'mem_mib'"},
+  };
+  for (const auto& [row, column] : cases) {
+    SCOPED_TRACE(row);
+    try {
+      (void)TraceReader::from_string(std::string(kNativeHeader) + "\n" + row + "\n")
+          .read_all();
+      ADD_FAILURE() << "row accepted";
+    } catch (const core::SlackError& e) {
+      EXPECT_NE(std::string(e.what()).find(column), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+  // The largest values that fit still parse.
+  const Trace edge = TraceReader::from_string(std::string(kNativeHeader) +
+                                              "\n1,4294967295,9223372036854775807,2,steady,0,5\n")
+                         .read_all();
+  ASSERT_EQ(edge.size(), 1U);
+  EXPECT_EQ(edge.vms()[0].spec.vcpus, 4294967295U);
+  EXPECT_EQ(edge.vms()[0].spec.mem_mib, std::numeric_limits<core::MemMib>::max());
 }
 
 // Errors name the 1-based line, the offending column, the byte offset of

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "reference/trace_csv.hpp"
+#include "workload/trace_reader.hpp"
 
 namespace slackvm::workload {
 namespace {
@@ -70,9 +72,9 @@ TEST(TraceTest, CsvRoundTrip) {
   vm.spec.mem_mib = core::gib(8);
   const Trace original({vm, make_vm(8, 1, 2, 1)});
 
-  std::stringstream buffer;
-  original.write_csv(buffer);
-  const Trace restored = Trace::read_csv(buffer);
+  std::ostringstream buffer;
+  write_csv_fast(original, buffer, TraceFormat::kNative);
+  const Trace restored = TraceReader::from_string(buffer.str()).read_all();
 
   ASSERT_EQ(restored.size(), 2U);
   const core::VmInstance& r = restored.vms()[1];  // sorted by arrival
@@ -87,7 +89,7 @@ TEST(TraceTest, CsvRoundTrip) {
 
 TEST(TraceTest, CsvHeaderWritten) {
   std::stringstream buffer;
-  Trace{}.write_csv(buffer);
+  write_csv_fast(Trace{}, buffer, TraceFormat::kNative);
   std::string header;
   std::getline(buffer, header);
   EXPECT_EQ(header, "id,vcpus,mem_mib,level,usage,arrival,departure");
@@ -95,38 +97,51 @@ TEST(TraceTest, CsvHeaderWritten) {
 
 TEST(TraceTest, ReadCsvRejectsEmptyInput) {
   std::stringstream buffer;
-  EXPECT_THROW((void)Trace::read_csv(buffer), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(buffer), core::SlackError);
 }
 
 TEST(TraceTest, ReadCsvRejectsTruncatedRow) {
   std::stringstream buffer("id,vcpus,mem_mib,level,usage,arrival,departure\n1,2,4096\n");
-  EXPECT_THROW((void)Trace::read_csv(buffer), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(buffer), core::SlackError);
 }
 
 TEST(TraceTest, ReadCsvRejectsUnknownUsage) {
   std::stringstream buffer(
       "id,vcpus,mem_mib,level,usage,arrival,departure\n1,2,4096,1,gaming,0,10\n");
-  EXPECT_THROW((void)Trace::read_csv(buffer), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(buffer), core::SlackError);
 }
 
 // --- malformed-row hardening regressions -----------------------------------
 
 constexpr const char* kHeader = "id,vcpus,mem_mib,level,usage,arrival,departure\n";
 
-/// Parse header + `row`, asserting a SlackError whose message contains
-/// every string in `fragments` (line number, column, raw row context).
-void expect_rejected(const std::string& row,
-                     const std::vector<std::string>& fragments) {
-  std::stringstream buffer(kHeader + row + "\n");
-  try {
-    (void)Trace::read_csv(buffer);
-    FAIL() << "row accepted: " << row;
-  } catch (const core::SlackError& e) {
-    const std::string message = e.what();
-    for (const std::string& fragment : fragments) {
+/// Parse header + `row` with the reference parser and with TraceReader,
+/// asserting from each a SlackError whose message contains every string in
+/// `fragments` (line number, column, raw row context), and from the
+/// reference also every string in `reference_fragments`.
+void expect_rejected(const std::string& row, const std::vector<std::string>& fragments,
+                     const std::vector<std::string>& reference_fragments = {}) {
+  const std::string text = kHeader + row + "\n";
+  const auto expect_message = [&](const std::string& message,
+                                  const std::vector<std::string>& wanted) {
+    for (const std::string& fragment : wanted) {
       EXPECT_NE(message.find(fragment), std::string::npos)
           << "missing '" << fragment << "' in: " << message;
     }
+  };
+  std::stringstream buffer(text);
+  try {
+    (void)reference::read_csv(buffer);
+    ADD_FAILURE() << "reference accepted: " << row;
+  } catch (const core::SlackError& e) {
+    expect_message(e.what(), fragments);
+    expect_message(e.what(), reference_fragments);
+  }
+  try {
+    (void)TraceReader::from_string(text).read_all();
+    ADD_FAILURE() << "TraceReader accepted: " << row;
+  } catch (const core::SlackError& e) {
+    expect_message(e.what(), fragments);
   }
 }
 
@@ -146,7 +161,8 @@ TEST(TraceTest, ReadCsvRejectsNonNumericFields) {
 TEST(TraceTest, ReadCsvRejectsPartiallyNumericFields) {
   // std::stoull/stod would silently accept these prefixes.
   expect_rejected("12x,2,4096,1,steady,0,10", {"'id'", "12x"});
-  expect_rejected("1,2,4096,1,steady,0.5h,10", {"'arrival'", "trailing junk"});
+  // TraceReader words this "expected a number", the reference "trailing junk".
+  expect_rejected("1,2,4096,1,steady,0.5h,10", {"'arrival'", "0.5h"}, {"trailing junk"});
   expect_rejected("1,-2,4096,1,steady,0,10", {"'vcpus'", "-2"});
 }
 
@@ -176,7 +192,7 @@ TEST(TraceTest, ReadCsvRejectsUnsortedArrivals) {
                            "1,2,4096,1,steady,50,60\n"
                            "2,2,4096,1,steady,10,20\n");
   try {
-    (void)Trace::read_csv(buffer);
+    (void)reference::read_csv(buffer);
     FAIL() << "unsorted trace accepted";
   } catch (const core::SlackError& e) {
     const std::string message = e.what();
@@ -191,7 +207,7 @@ TEST(TraceTest, ReadCsvReportsLineNumberOfBadRow) {
                            "\n"
                            "2,2,4096,1,steady,1,oops\n");
   try {
-    (void)Trace::read_csv(buffer);
+    (void)reference::read_csv(buffer);
     FAIL() << "bad row accepted";
   } catch (const core::SlackError& e) {
     // Blank lines still count toward line numbers.
@@ -205,7 +221,7 @@ TEST(TraceTest, ReadCsvStillAcceptsBlankLinesAndSortedInput) {
                            "\n"
                            "2,4,8192,3,bursty,0,5.5\n"
                            "3,1,1024,16,idle,7,8\n");
-  const Trace trace = Trace::read_csv(buffer);
+  const Trace trace = reference::read_csv(buffer);
   ASSERT_EQ(trace.size(), 3U);
   EXPECT_EQ(trace.vms()[2].spec.level, core::OversubLevel{16});
 }

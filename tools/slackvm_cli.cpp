@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -58,8 +57,6 @@ struct Args {
   std::size_t parallelism = 1;
   std::size_t repetitions = 1;
   std::size_t shards = 1;
-  bool use_index = true;
-  bool stream = true;
   double watchdog_s = 0.0;
   sim::FaultConfig faults;
   sim::MigrationConfig migration;
@@ -76,14 +73,9 @@ int usage() {
                "         --file DUMP  --out FILE  --reps N\n"
                "         --parallelism N   (sweep/heatmap worker threads; 0 = all\n"
                "                            cores; results identical at any value)\n"
-               "         --index on|off    (incremental placement index; results\n"
-               "                            identical, off replays the naive scan)\n"
                "         --shards N        (sharded datacenter engine; 1 = serial\n"
                "                            reference, > 1 runs shards on the thread\n"
                "                            pool; replay uses --parallelism threads)\n"
-               "         --stream on|off   (replay: pull the trace through the\n"
-               "                            streaming TraceReader [default] or\n"
-               "                            materialize it first; bit-identical)\n"
                "         --faults N        (seed-derived host failures over the run)\n"
                "         --fault-seed N    (0 = derive from --seed)\n"
                "         --repair-s X  --drain-lead-s X   (fault timing knobs)\n"
@@ -157,24 +149,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.shards = count(sim::kMaxShards);
       if (args.shards == 0) {
         throw core::SlackError("--shards must be >= 1");
-      }
-    } else if (key == "--index") {
-      const std::string v = value();
-      if (v == "on") {
-        args.use_index = true;
-      } else if (v == "off") {
-        args.use_index = false;
-      } else {
-        throw core::SlackError("--index must be on|off");
-      }
-    } else if (key == "--stream") {
-      const std::string v = value();
-      if (v == "on") {
-        args.stream = true;
-      } else if (v == "off") {
-        args.stream = false;
-      } else {
-        throw core::SlackError("--stream must be on|off");
       }
     } else if (key == "--reps") {
       args.repetitions = count();
@@ -257,7 +231,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
         throw core::SlackError("--itf-evictions must be >= 1");
       }
     } else {
-      throw core::SlackError("unknown option " + key);
+      throw core::SlackError(key + ": unknown option");
     }
   }
   return args;
@@ -294,9 +268,8 @@ workload::Trace load_trace(const Args& args) {
   if (args.trace_path.empty()) {
     throw core::SlackError("--trace FILE required");
   }
-  // TraceReader instead of Trace::read_csv: same strict validation,
-  // several times the parse throughput, and it understands the 5-column
-  // real-provider format as well as the native one.
+  // TraceReader understands the 5-column real-provider format as well as
+  // the native one.
   return workload::TraceReader(args.trace_path).read_all();
 }
 
@@ -335,7 +308,9 @@ int cmd_generate(const Args& args) {
   if (!out) {
     throw core::SlackError("cannot write " + args.out_path);
   }
-  trace.write_csv(out);
+  // Shortest round-trip times: reading the file back reproduces the trace
+  // bit-exactly.
+  workload::write_csv_fast(trace, out, workload::TraceFormat::kNative);
   std::printf("wrote %zu VMs to %s (provider %s, distribution %c, seed %llu)\n",
               trace.size(), args.out_path.c_str(), args.provider.c_str(), args.dist,
               static_cast<unsigned long long>(args.seed));
@@ -377,7 +352,6 @@ int cmd_replay(const Args& args) {
                                        policy_factory(args), args.mem_oversub)
           : sim::Datacenter::shared_sharded(worker, policy_factory(args), args.shards,
                                             args.mem_oversub);
-  dc.set_index_enabled(args.use_index);
   std::optional<sim::RebalanceOptions> rebalance;
   if (args.rebalance_s > 0) {
     rebalance = sim::RebalanceOptions{args.rebalance_s, args.rebalance_budget,
@@ -388,26 +362,16 @@ int cmd_replay(const Args& args) {
   const sim::FaultConfig faults = sim::resolve_fault_seed(args.faults, args.seed);
   const sim::FaultConfig* fault_ptr = faults.enabled() ? &faults : nullptr;
 
-  // Streaming is the default: the trace is pulled row-by-row through
-  // TraceReader, so a multi-GB file replays in O(active window) memory.
-  // Configurations that need the horizon up-front (shards, rebalance,
-  // faults) get it from a cheap scan pre-pass; --stream off materializes
-  // the whole trace instead (bit-identical result either way).
-  std::unique_ptr<sim::EventSource> source;
-  workload::Trace trace;
-  if (args.stream) {
-    const bool needs_horizon =
-        args.shards > 1 || rebalance.has_value() || faults.enabled();
-    std::optional<workload::TraceReader::ScanInfo> scan;
-    if (needs_horizon) {
-      scan = workload::TraceReader::scan(args.trace_path);
-    }
-    source = std::make_unique<sim::StreamingTraceSource>(
-        workload::TraceReader(args.trace_path), scan);
-  } else {
-    trace = load_trace(args);
-    source = std::make_unique<sim::MaterializedSource>(trace);
+  // The trace is pulled row-by-row through TraceReader, so a multi-GB file
+  // replays in O(active window) memory. Configurations that need the
+  // horizon up-front (shards, rebalance, faults) get it from a cheap scan
+  // pre-pass.
+  const bool needs_horizon = args.shards > 1 || rebalance.has_value() || faults.enabled();
+  std::optional<workload::TraceReader::ScanInfo> scan;
+  if (needs_horizon) {
+    scan = workload::TraceReader::scan(args.trace_path);
   }
+  sim::StreamingTraceSource source(workload::TraceReader(args.trace_path), scan);
 
   // One shard is the serial replay; more run on --parallelism threads.
   sim::ShardOptions shard_options;
@@ -416,10 +380,9 @@ int cmd_replay(const Args& args) {
   shard_options.rebalance = rebalance;
   shard_options.faults = fault_ptr;
   shard_options.watchdog_ms = static_cast<std::size_t>(args.watchdog_s * 1000.0);
-  const sim::RunResult result = sim::replay_sharded(dc, *source, shard_options);
-  std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, %s trace\n",
-              args.mode.c_str(), args.policy.c_str(), args.mem_oversub, args.shards,
-              args.stream ? "streamed" : "materialized");
+  const sim::RunResult result = sim::replay_sharded(dc, source, shard_options);
+  std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, streamed trace\n",
+              args.mode.c_str(), args.policy.c_str(), args.mem_oversub, args.shards);
   std::printf("placed VMs     : %zu (peak %zu concurrent)\n", result.placed_vms,
               result.peak_vms);
   std::printf("PMs opened     : %zu (peak active %zu)\n", result.opened_pms,
@@ -468,7 +431,6 @@ int cmd_sweep(const Args& args) {
   cfg.repetitions = args.repetitions;
   cfg.parallelism = args.parallelism;
   cfg.shards = args.shards;
-  cfg.use_index = args.use_index;
   cfg.faults = args.faults;  // per-cell seed resolution happens in run_cell
   cfg.trace_path = args.trace_path;  // optional: stream a real trace per cell
   cfg.rebalance_interval = args.rebalance_s;
@@ -498,7 +460,6 @@ int cmd_heatmap(const Args& args) {
   cfg.repetitions = args.repetitions;
   cfg.parallelism = args.parallelism;
   cfg.shards = args.shards;
-  cfg.use_index = args.use_index;
   cfg.faults = args.faults;
   cfg.rebalance_interval = args.rebalance_s;
   cfg.rebalance_budget = args.rebalance_budget;

@@ -11,8 +11,9 @@
 //
 //  2. *Heat refresh cost* — update_cluster_heat (the per-host demand
 //     sample + EWMA write that the replay loop schedules every
-//     heat_interval) over the same fleet; reports wall nanoseconds per
-//     host refresh.
+//     heat_interval) over the same fleet, without a kept cache, so every
+//     round re-derives every host's demand terms; reports wall nanoseconds
+//     per host refresh.
 //
 //  3. *Loop overhead* — the same generated trace replayed with the plain
 //     progress rebalance loop and with the full interference loop (heat
@@ -24,8 +25,8 @@
 //     non-zero on divergence.
 //
 //  4. *Plan throughput* — one consolidation pass (budget 16) on post-churn
-//     fleets of 1k/10k/100k hosts, the verbatim naive fleet-copy pass vs
-//     the incremental scratch-column pass (the plan() dispatch), with the
+//     fleets of 1k/10k/100k hosts, the naive fleet-copy reference pass
+//     (tests/reference/) vs the product's scratch-column plan(), with the
 //     plans checked identical and the scratch pass's allocation count
 //     probed flat across warm passes. The naive pass is skipped above
 //     10k hosts (its per-attempt fleet snapshots are quadratic there).
@@ -46,6 +47,7 @@
 
 #include "bench_util.hpp"
 #include "core/rng.hpp"
+#include "reference/control_plane.hpp"
 #include "core/vm.hpp"
 #include "sched/policy.hpp"
 #include "sched/rebalancer.hpp"
@@ -301,7 +303,8 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
     out.naive_measured = true;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       const auto start = Clock::now();
-      const sched::MigrationPlan plan = rebalancer.plan_naive(cl, kPlanBudget);
+      const sched::MigrationPlan plan =
+          reference::plan_naive(cl, kPlanBudget, sched::ProgressScorer{});
       const double wall =
           std::chrono::duration<double>(Clock::now() - start).count();
       if (rep == 0 || wall * 1e9 < out.naive_ns) {

@@ -21,26 +21,12 @@ void HeatIndex::rebuild(std::span<const HostState> hosts) {
   buckets_.clear();
   dirty_.clear();
   indexed_ = 0;
-  width_ = 0.0;
-  mixed_width_ = false;
   for (const HostState& host : hosts) {
     update(host);
   }
 }
 
 void HeatIndex::update(const HostState& host) {
-  const double width = host.heat_bucket_width();
-  if (width > 0.0) {
-    if (width_ == 0.0) {
-      width_ = width;
-    } else if (width_ != width) {
-      mixed_width_ = true;
-    }
-  } else if (host.heat() != 0.0) {
-    // Heat written with quantization disabled: the bucket (pinned at 0) no
-    // longer bounds the raw value.
-    mixed_width_ = true;
-  }
   const HostId id = host.id();
   if (id >= cached_.size()) {
     cached_.resize(std::size_t{id} + 1);

@@ -2,8 +2,8 @@
 // the polluter pass.
 //
 // Rebalancer::plan_interference needs, per eviction, the hottest untried UP
-// host and the coolest strictly-cooler host that fits the victim. The naive
-// pass answers both with O(hosts) scans of a fleet copy. This index keeps
+// host and the coolest strictly-cooler host that fits the victim. A plain
+// scan answers both in O(hosts) per eviction. This index keeps
 // every host filed under its quantized heat bucket (HostState::heat_bucket)
 // in an ordered map of ordered id sets, so the planner streams buckets from
 // either end and stops at the first bucket that yields an eligible host —
@@ -22,10 +22,11 @@
 //  3. dirty ids >= hosts.size() are rolled-back openings and are dropped,
 //     exactly like PlacementIndex::sync.
 //
-// The index is owned by VCluster behind the same index test seam as the
-// placement index: disabling it restores the verbatim naive
-// plan_interference scan, which is what keeps the incremental path
-// differentially tested by the index {on,off} acceptance matrix.
+// Soundness of the early exit needs one bucket width for every filed host:
+// VCluster::set_host_heat rejects a width that differs from the cluster's
+// first one, so a cluster's index never mixes widths. The polluter pass is
+// differentially tested against an O(hosts) reference scan kept in
+// tests/reference/.
 #pragma once
 
 #include <cstdint>
@@ -68,17 +69,6 @@ class HeatIndex {
   /// Unconsumed dirty-log entries (VCluster bounds this between passes).
   [[nodiscard]] std::size_t dirty_size() const noexcept { return dirty_.size(); }
 
-  /// True while every filed host has been quantized with one common bucket
-  /// width (hosts never heated — width 0, heat 0, bucket 0 — are trivially
-  /// consistent with any width). Cross-bucket heat comparisons are only
-  /// sound then: bucket b spans raw heats [b*w, (b+1)*w) and equal heats
-  /// share a bucket. Planners must fall back to the naive scan when false.
-  /// Sticky once tripped (conservative: correctness over speed). Detection
-  /// rides the epoch protocol, so it covers exactly the writes the index
-  /// hears about; the supported contract is the one the heat feeder
-  /// implements — a single bucket width per cluster run.
-  [[nodiscard]] bool uniform_width() const noexcept { return !mixed_width_; }
-
   /// Audit against the authoritative rows (call after sync): every host
   /// filed exactly once under its current bucket. One line per divergence.
   [[nodiscard]] std::vector<std::string> check(
@@ -100,8 +90,6 @@ class HeatIndex {
   std::map<Bucket, std::set<HostId>> buckets_;
   std::vector<HostId> dirty_;
   std::size_t indexed_ = 0;
-  double width_ = 0.0;  ///< first positive bucket width seen
-  bool mixed_width_ = false;
 };
 
 }  // namespace slackvm::sched

@@ -79,18 +79,12 @@ class Rebalancer {
   /// Plan up to `max_migrations` migrations on the cluster's current state.
   /// The cluster is not modified.
   ///
-  /// Runs the incremental PlanScratch path (columnar copy of the arena,
-  /// per-attempt undo logs, lazy vm-count min-heap — allocation-free once
-  /// warm) when the cluster's index machinery is enabled and the scorer
-  /// supports columnar scoring; otherwise the verbatim naive pass below.
-  /// Both produce the bit-identical plan (differential-tested).
+  /// Plans against a columnar copy of the arena (PlanScratch): per-attempt
+  /// undo logs roll back a failed drain, and a lazy vm-count min-heap picks
+  /// the next source. Allocation-free once warm, apart from the returned
+  /// plan.
   [[nodiscard]] MigrationPlan plan(const VCluster& cluster,
                                    std::size_t max_migrations) const;
-
-  /// The original O(fleet-copy) pass, kept verbatim as the differential
-  /// reference for plan() (a cluster with its index disabled lands here).
-  [[nodiscard]] MigrationPlan plan_naive(const VCluster& cluster,
-                                         std::size_t max_migrations) const;
 
   /// Polluter-detection pass. Repeatedly picks the hottest untried UP host
   /// with >= 2 VMs whose contention inflation model(heat) exceeds
@@ -101,17 +95,11 @@ class Rebalancer {
   /// adjusted after each planned move so one pass does not dogpile a single
   /// cool target. The cluster is not modified; fully deterministic.
   ///
-  /// Hottest/coolest selection streams the cluster's HeatIndex buckets when
-  /// available (hosts this pass already shifted are overlaid from the
-  /// scratch columns); with the index disabled the verbatim naive scan
-  /// below runs. Both produce the bit-identical plan.
+  /// Hottest/coolest selection streams the cluster's HeatIndex buckets
+  /// (hosts this pass already shifted are overlaid from the scratch
+  /// columns). That is sound because a cluster quantizes every host with
+  /// one bucket width (VCluster::set_host_heat enforces it).
   [[nodiscard]] MigrationPlan plan_interference(
-      const VCluster& cluster, const perf::ContentionModel& model,
-      const InterferenceOptions& options) const;
-
-  /// The original O(fleet-copy) polluter pass, kept verbatim as the
-  /// differential reference for plan_interference.
-  [[nodiscard]] MigrationPlan plan_interference_naive(
       const VCluster& cluster, const perf::ContentionModel& model,
       const InterferenceOptions& options) const;
 
@@ -192,12 +180,6 @@ class Rebalancer {
     void collect_source_vms(const HostState& source);
     void mark_shifted(HostId host);
   };
-
-  [[nodiscard]] MigrationPlan plan_incremental(const VCluster& cluster,
-                                               std::size_t max_migrations) const;
-  [[nodiscard]] MigrationPlan plan_interference_incremental(
-      const VCluster& cluster, const HeatIndex& index,
-      const perf::ContentionModel& model, const InterferenceOptions& options) const;
 
   std::unique_ptr<Scorer> scorer_;
   /// Planning never mutates the cluster, so Rebalancer stays const at the

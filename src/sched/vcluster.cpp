@@ -1,6 +1,7 @@
 #include "sched/vcluster.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -44,17 +45,14 @@ void VCluster::flush_index() {
   }
 }
 
-const HeatIndex* VCluster::synced_heat_index() const {
-  if (!index_enabled_) {
-    return nullptr;
-  }
+const HeatIndex& VCluster::synced_heat_index() const {
   if (heat_index_ == nullptr) {
     heat_index_ = std::make_unique<HeatIndex>();
     heat_index_->rebuild(hosts_);
   } else {
     heat_index_->sync(hosts_);
   }
-  return heat_index_.get();
+  return *heat_index_;
 }
 
 PlacementIndex* VCluster::active_index() {
@@ -81,7 +79,10 @@ PlacementIndex* VCluster::active_index() {
 }
 
 std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spec) {
-  SLACKVM_ASSERT(!contains(id));
+  if (contains(id)) {
+    SLACKVM_THROW("VM id " + std::to_string(id.value) + " is already live in cluster " +
+                  name_ + ": ids must be unique among live VMs");
+  }
   PlacementIndex* index = active_index();
   auto chosen = index != nullptr ? index->select(hosts_, spec, &arena_)
                                  : policy_->select(hosts_, spec, filter_.get());
@@ -173,6 +174,19 @@ bool VCluster::migrate(core::VmId vm, HostId to) {
 void VCluster::set_host_heat(HostId host, double heat, double bucket_width) {
   if (host >= hosts_.size()) {
     SLACKVM_THROW("VCluster::set_host_heat: unknown host");
+  }
+  // One width per cluster keeps the heat index's bucket order sound: bucket
+  // b spans raw heats [b*w, (b+1)*w) for every host alike.
+  if (!(bucket_width > 0.0)) {
+    SLACKVM_THROW("VCluster::set_host_heat: bucket width " +
+                  std::to_string(bucket_width) + " is not positive");
+  }
+  if (heat_width_ == 0.0) {
+    heat_width_ = bucket_width;
+  } else if (bucket_width != heat_width_) {
+    SLACKVM_THROW("VCluster::set_host_heat: bucket width " +
+                  std::to_string(bucket_width) + " differs from the cluster's " +
+                  std::to_string(heat_width_));
   }
   const std::uint64_t before = hosts_[host].epoch();
   hosts_[host].set_heat(heat, bucket_width);

@@ -58,15 +58,15 @@ class VCluster {
 
   /// Incremental candidate index (placement_index.hpp), on by default:
   /// try_place consults it instead of the naive O(hosts) policy scan, with
-  /// provably identical selection (differential-tested). Disabling it is a
-  /// test seam that runs the exact pre-index code path, so the
-  /// differential tests can compare the two; re-enabling rebuilds the
-  /// index from live state.
+  /// provably identical selection (differential-tested). Disabling it runs
+  /// the policy scan instead, so the differential tests can compare the
+  /// two; re-enabling rebuilds the index from live state. It covers
+  /// placement only: the planners and the heat feeder run the same code
+  /// either way.
   void set_index_enabled(bool enabled) {
     index_enabled_ = enabled;
     if (!enabled) {
       index_.reset();
-      heat_index_.reset();
     }
   }
   [[nodiscard]] bool index_enabled() const noexcept { return index_enabled_; }
@@ -100,12 +100,13 @@ class VCluster {
   void commit_migration(core::VmId vm, HostId to);
 
   /// Place a VM, opening a new host when no open one fits. Throws when the
-  /// VM cannot fit even on an empty host (spec larger than the PM) or when
-  /// the host cap is exhausted.
+  /// VM cannot fit even on an empty host (spec larger than the PM), when
+  /// the host cap is exhausted, or when `id` is already live here.
   HostId place(core::VmId id, const core::VmSpec& spec);
 
   /// Like place(), but returns std::nullopt (state unchanged) instead of
-  /// throwing when the VM cannot be placed within the host cap.
+  /// throwing when the VM cannot be placed within the host cap. Still
+  /// throws, naming the id, when `id` is already live here.
   std::optional<HostId> try_place(core::VmId id, const core::VmSpec& spec);
 
   /// Cap the number of PMs this cluster may open (fixed-fleet mode); by
@@ -155,8 +156,10 @@ class VCluster {
 
   /// Update a host's interference-heat EWMA through the index-safe funnel:
   /// the arena row is re-mirrored always, the placement index is touched
-  /// only when the quantized bucket crossed (== the epoch bumped). Throws
-  /// for unknown hosts.
+  /// only when the quantized bucket crossed (== the epoch bumped). The
+  /// first call fixes the cluster's bucket width; throws, leaving the host
+  /// unchanged, for unknown hosts, a width that is not positive, or a width
+  /// other than the cluster's.
   void set_host_heat(HostId host, double heat, double bucket_width);
 
   /// Raw heat of an opened host; throws for unknown hosts.
@@ -200,14 +203,12 @@ class VCluster {
   [[nodiscard]] const HostArena& arena() const noexcept { return arena_; }
 
   /// The quantized-heat bucket index serving plan_interference, its dirty
-  /// log replayed, or nullptr while the index machinery is disabled
-  /// (test seam: the rebalancer then falls back to the verbatim naive
-  /// scans). Created lazily on first use, like the
-  /// placement index; logically const (the member is a mutable cache).
-  [[nodiscard]] const HeatIndex* synced_heat_index() const;
+  /// log replayed. Created lazily on first use, like the placement index;
+  /// logically const (the member is a mutable cache).
+  [[nodiscard]] const HeatIndex& synced_heat_index() const;
 
-  /// Replay the placement index's whole dirty log now (batched at shard
-  /// barriers so per-event touches stay O(1) appends). No-op while naive.
+  /// Replay both indexes' whole dirty logs now (batched at shard barriers
+  /// so per-event touches stay O(1) appends). Skips an index not created.
   void flush_index();
 
   // --- membership journal (sim::DemandCache rides it) -----------------------
@@ -237,7 +238,7 @@ class VCluster {
   /// the policy needs full candidate lists). Created lazily.
   [[nodiscard]] PlacementIndex* active_index();
 
-  /// Report a host epoch bump to the indexes (no-op while naive).
+  /// Report a host epoch bump to the indexes that exist.
   void touch(HostId host) {
     if (index_ != nullptr) {
       index_->touch(host);
@@ -301,8 +302,10 @@ class VCluster {
   bool membership_armed_ = false;
   bool membership_lost_ = true;
   std::unique_ptr<PlacementIndex> index_;
-  /// Lazily created cache (see synced_heat_index); reset with the index.
+  /// Lazily created cache (see synced_heat_index).
   mutable std::unique_ptr<HeatIndex> heat_index_;
+  /// Bucket width of every set_host_heat so far; 0 until the first.
+  double heat_width_ = 0.0;
 };
 
 }  // namespace slackvm::sched

@@ -81,8 +81,8 @@ class Datacenter {
   void set_max_hosts_per_cluster(std::size_t max_hosts);
 
   /// Toggle every cluster's incremental placement index. A test seam:
-  /// selection is identical either way, and off runs the exact naive-scan
-  /// code path the differential tests compare against.
+  /// selection is identical either way, and off runs the policy's O(hosts)
+  /// scan the differential tests compare against. Placement only.
   void set_index_enabled(bool enabled);
 
   /// Pre-size per-cluster containers for an expected number of VM

@@ -45,8 +45,9 @@ struct ExperimentConfig {
   std::size_t shards = 1;
   /// Consult the incremental placement index (sched/placement_index.hpp)
   /// during replays. A test seam, not a user option: host selection is
-  /// provably identical either way, and off runs the exact naive scan so
-  /// the differential tests can compare the two.
+  /// provably identical either way, and off runs the policy's O(hosts)
+  /// scan so the differential tests can compare the two. Placement only:
+  /// the planners and the heat feeder do not look at it.
   bool use_index = true;
   /// Fault injection (sim/fault.hpp); disabled by default. A zero fault
   /// seed derives per repetition from the cell's workload seed, so each

@@ -365,17 +365,14 @@ class Shard {
 
   /// Refresh every owned host's heat EWMA through the index-safe funnel.
   /// Heat is cluster-local state, and no observation fires: a run only
-  /// differs from a heat-free run through actual placement changes. The
-  /// demand cache is handed over only when the cluster's index machinery
-  /// is on, so the index-off test seam keeps the naive sample as the live
-  /// reference.
+  /// differs from a heat-free run through actual placement changes. Each
+  /// owned cluster keeps its demand cache across ticks.
   void heat_pass(core::SimTime now) {
     const sched::InterferenceOptions& itf = rebalance_->interference;
     for (std::size_t i = 0; i < clusters_.size(); ++i) {
-      sched::VCluster& cluster = dc_.cluster(clusters_[i]);
-      DemandCache* cache = cluster.index_enabled() ? &heat_caches_[i] : nullptr;
-      partial_.heat_updates +=
-          update_cluster_heat(cluster, now, itf.heat_alpha, itf.heat_bucket, cache);
+      partial_.heat_updates += update_cluster_heat(dc_.cluster(clusters_[i]), now,
+                                                   itf.heat_alpha, itf.heat_bucket,
+                                                   &heat_caches_[i]);
     }
     audit();
   }

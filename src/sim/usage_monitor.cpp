@@ -33,34 +33,6 @@ UsageSample sample_usage(const Datacenter& dc, core::SimTime t) {
   return sample;
 }
 
-std::vector<HostUsage> sample_host_usage(const sched::VCluster& cluster,
-                                         core::SimTime t) {
-  // Take the host vector once; hosts() is not free and the loop below is
-  // the hot path of every heat tick.
-  const std::vector<sched::HostState>& hosts = cluster.hosts();
-  std::vector<HostUsage> out;
-  out.reserve(hosts.size());
-  std::vector<core::VmId> vms;
-  for (const sched::HostState& host : hosts) {
-    HostUsage usage;
-    usage.capacity_cores = host.config().cores;
-    // Ascending-VmId summation: the heat this feeds steers placement, so
-    // the float result must not depend on unordered_map iteration order.
-    vms.clear();
-    for (const auto& [vm, spec] : host.vms()) {
-      vms.push_back(vm);
-    }
-    std::ranges::sort(vms);
-    for (const core::VmId vm : vms) {
-      const core::VmSpec& spec = host.spec_of(vm);
-      usage.demand_cores += static_cast<double>(spec.vcpus) *
-                            workload::UsageSignal(vm, spec.usage).at(t);
-    }
-    out.push_back(usage);
-  }
-  return out;
-}
-
 void DemandCache::apply(const sched::MembershipDelta& delta) {
   if (delta.host >= entries_.size() || !entries_[delta.host].present) {
     // No cached view to patch (fresh opening, post-wipe, or a rolled-back
@@ -114,9 +86,9 @@ const std::vector<HostUsage>& DemandCache::sample(sched::VCluster& cluster,
     const sched::HostState& host = hosts[h];
     Entry& entry = entries_[h];
     if (!entry.present || (!exact && entry.epoch != host.epoch())) {
-      // Re-derive the term list exactly as the naive sample does —
-      // ascending-VmId — but with the specs captured in the same map walk
-      // that lists the ids (spec_of would be a second hash probe per VM).
+      // Re-derive the term list in ascending-VmId order, with the specs
+      // captured in the same map walk that lists the ids (spec_of would be
+      // a second hash probe per VM).
       entry.terms.clear();
       vms_.clear();
       for (const auto& [vm, spec] : host.vms()) {
@@ -134,7 +106,7 @@ const std::vector<HostUsage>& DemandCache::sample(sched::VCluster& cluster,
     entry.epoch = host.epoch();
     HostUsage usage;
     usage.capacity_cores = host.config().cores;
-    // Same terms, same order, same ops as the naive sum: bit-identical.
+    // Same terms, same order, same ops as a fresh sum: bit-identical.
     for (const Term& term : entry.terms) {
       usage.demand_cores += term.vcpus * term.signal.at(t);
     }
@@ -156,10 +128,11 @@ void DemandCache::restamp(const sched::VCluster& cluster) {
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache) {
-  std::vector<HostUsage> sampled;  // holds the sample when no cache is given
-  const std::vector<HostUsage>& usage =
-      cache != nullptr ? cache->sample(cluster, t)
-                       : (sampled = sample_host_usage(cluster, t));
+  DemandCache one_shot;
+  if (cache == nullptr) {
+    cache = &one_shot;
+  }
+  const std::vector<HostUsage>& usage = cache->sample(cluster, t);
   for (sched::HostId h = 0; h < usage.size(); ++h) {
     const double q =
         usage[h].capacity_cores > 0
@@ -171,9 +144,7 @@ std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
   // The EWMA writes bumped epochs on bucket crossings; adopt them now so a
   // later lossy journal round does not mistake heat churn for membership
   // churn.
-  if (cache != nullptr) {
-    cache->restamp(cluster);
-  }
+  cache->restamp(cluster);
   return usage.size();
 }
 

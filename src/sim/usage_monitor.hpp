@@ -8,7 +8,7 @@
 // effective utilization, and overload exposure (a host whose demand exceeds
 // its physical capacity is time-slicing, the §II-A overload situation).
 //
-// The per-host breakdown (sample_host_usage) and the EWMA feeder
+// The per-host breakdown (DemandCache) and the EWMA feeder
 // (update_cluster_heat) close the interference loop: they turn the same
 // usage signals into the per-host *heat* column that
 // sched::InterferenceScorer and the polluter pass consume.
@@ -70,19 +70,14 @@ struct UsageReport {
 /// Take one sample of the datacenter's demand at time `t`.
 [[nodiscard]] UsageSample sample_usage(const Datacenter& dc, core::SimTime t);
 
-/// Per-host demand breakdown of one cluster at time `t`, indexed by HostId.
-/// Each host's demand sums its VMs in ascending VmId order, so the
-/// floating-point result is independent of placement-map iteration order.
-[[nodiscard]] std::vector<HostUsage> sample_host_usage(
-    const sched::VCluster& cluster, core::SimTime t);
-
 /// Incremental demand terms behind update_cluster_heat: per host, the
-/// cached (ascending-VmId) list of vcpus x UsageSignal terms whose sum is
-/// exactly sample_host_usage's demand. A heat tick re-derives a host's term
-/// list — the unordered-map walk, sort, and spec lookups — only when its
-/// epoch moved since the last tick; every other host just replays its
-/// cached terms, in the same stored order and with the same float ops, so
-/// the result is bit-identical to the naive sample.
+/// cached list of vcpus x UsageSignal terms in ascending VmId order, so the
+/// floating-point sum is independent of placement-map iteration order. A
+/// heat tick re-derives a host's term list — the unordered-map walk, sort,
+/// and spec lookups — only when its epoch moved since the last tick; every
+/// other host just replays its cached terms, in the same stored order and
+/// with the same float ops, so the result is bit-identical to summing every
+/// host afresh (the differential tests check this against a reference sum).
 ///
 /// Epoch protocol: sample() rebuilds on epoch mismatch; restamp() adopts
 /// the post-set_heat epochs without rebuilding (the EWMA write itself bumps
@@ -92,7 +87,7 @@ struct UsageReport {
 /// rebuild.
 class DemandCache {
  public:
-  /// Per-host demand breakdown at `t`, bit-identical to sample_host_usage.
+  /// Per-host demand breakdown of the cluster at `t`, indexed by HostId.
   /// The reference is invalidated by the next sample() call.
   ///
   /// The first call arms the cluster's membership journal; from then on the
@@ -115,7 +110,7 @@ class DemandCache {
  private:
   struct Term {
     core::VmId vm{0};    ///< sort/patch key (terms stay ascending-VmId)
-    double vcpus = 0.0;  ///< static_cast<double>(spec.vcpus), as the naive sum casts
+    double vcpus = 0.0;  ///< static_cast<double>(spec.vcpus), as a fresh sum casts
     workload::UsageSignal signal;
   };
   struct Entry {
@@ -142,11 +137,10 @@ class DemandCache {
 /// epoch, and with it the placement index, only reacts to bucket
 /// crossings). Returns the number of hosts refreshed.
 ///
-/// With a `cache`, the demand breakdown comes from DemandCache::sample —
-/// bit-identical, but only epoch-dirtied hosts re-derive their term lists —
-/// and the cache is restamped afterwards. Replay paths hand the cache over
-/// exactly when the cluster's index machinery is enabled, so the index-off
-/// test seam keeps the naive sample differentially covered.
+/// The demand breakdown comes from `cache` (DemandCache::sample: only
+/// churned hosts re-derive their term lists), which is restamped afterwards.
+/// Replay keeps one cache per cluster across ticks; a null `cache` samples
+/// through a one-shot local cache, which rebuilds every host.
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache = nullptr);

@@ -1,6 +1,8 @@
 # Fail if the product binary links any differential reference or deleted
 # module: the references live in tests/reference/ (slackvm_reference),
-# which only tests and benches link.
+# which only tests and benches link. The control-plane references are also
+# checked under their former product names, so moving one back into
+# Rebalancer or sim:: fails too.
 #
 #   cmake -DNM=nm -DBINARY=path/to/slackvm -P no_reference_symbols.cmake
 execute_process(
@@ -19,7 +21,8 @@ if(at EQUAL -1)
   message(FATAL_ERROR "${BINARY} has no readable symbols (stripped?)")
 endif()
 foreach(forbidden "slackvm::reference" "local::naive" "Trace::read_csv"
-                  "PinDriver" "NumaMemoryMap")
+                  "PinDriver" "NumaMemoryMap" "Rebalancer::plan_naive"
+                  "Rebalancer::plan_interference_naive" "sim::sample_host_usage")
   string(FIND "${symbols}" "${forbidden}" at)
   if(NOT at EQUAL -1)
     message(FATAL_ERROR "${BINARY} links reference code: found '${forbidden}'")

@@ -1,9 +1,9 @@
 // HeatIndex property suite, mirroring sched_placement_index_test.cpp for
 // the quantized-heat buckets: the epoch + dirty-log protocol (refile only
 // on bucket crossings, epoch-match short-circuit, rolled-back-opening
-// drops), the uniform-width soundness flag, the VCluster synced_heat_index
-// wiring behind the index test seam, and a randomized churn whose
-// incrementally-synced index must match a from-scratch rebuild exactly.
+// drops), the VCluster synced_heat_index wiring (independent of the
+// placement-index switch), and a randomized churn whose incrementally-synced
+// index must match a from-scratch rebuild exactly.
 #include "sched/heat_index.hpp"
 
 #include <gtest/gtest.h>
@@ -54,7 +54,6 @@ TEST(HeatIndexProtocol, FilesHostsByBucketCoolestFirst) {
   HeatIndex index;
   index.rebuild(hosts);
   EXPECT_EQ(index.size(), 4u);
-  EXPECT_TRUE(index.uniform_width());
   EXPECT_TRUE(index.check(hosts).empty());
 
   const auto& buckets = index.buckets();
@@ -128,47 +127,7 @@ TEST(HeatIndexProtocol, RolledBackOpeningsAreDropped) {
   EXPECT_TRUE(index.check(hosts).empty());
 }
 
-// --- uniform-width soundness flag -------------------------------------------
-
-TEST(HeatIndexWidth, MixedWidthsTripTheFlagStickily) {
-  std::vector<HostState> hosts = make_hosts(2);
-  hosts[0].set_heat(0.6, 0.25);
-  hosts[1].set_heat(0.6, 0.5);  // different quantization: cross-bucket
-                                // comparisons are no longer ordered
-  HeatIndex index;
-  index.rebuild(hosts);
-  EXPECT_FALSE(index.uniform_width());
-
-  // Sticky: re-quantizing everything with one width does not un-trip it
-  // (conservative — only a rebuild re-evaluates).
-  hosts[0].set_heat(0.7, 0.25);
-  hosts[1].set_heat(0.7, 0.25);
-  index.touch(0);
-  index.touch(1);
-  index.sync(hosts);
-  EXPECT_FALSE(index.uniform_width());
-
-  index.rebuild(hosts);
-  EXPECT_TRUE(index.uniform_width());
-}
-
-TEST(HeatIndexWidth, UnquantizedNonzeroHeatTripsTheFlag) {
-  std::vector<HostState> hosts = make_hosts(1);
-  hosts[0].set_heat(0.6, 0.0);  // quantization disabled: bucket pinned at 0
-  HeatIndex index;
-  index.rebuild(hosts);
-  EXPECT_FALSE(index.uniform_width());
-}
-
-TEST(HeatIndexWidth, ColdHostsAreConsistentWithAnyWidth) {
-  std::vector<HostState> hosts = make_hosts(3);
-  hosts[1].set_heat(0.6, 0.25);  // the only heated host sets the width
-  HeatIndex index;
-  index.rebuild(hosts);
-  EXPECT_TRUE(index.uniform_width());
-}
-
-// --- VCluster wiring behind the index test seam ------------------------------
+// --- VCluster wiring ---------------------------------------------------------
 
 TEST(HeatIndexCluster, SyncedIndexTracksHeatWritesAndHonoursTheHatch) {
   VCluster cluster("itf", kWorker, make_progress_policy());
@@ -176,22 +135,25 @@ TEST(HeatIndexCluster, SyncedIndexTracksHeatWritesAndHonoursTheHatch) {
     ASSERT_TRUE(cluster.try_place(VmId{static_cast<std::uint64_t>(i + 1)},
                                   make_spec(8, gib(16), 2)));
   }
-  const HeatIndex* index = cluster.synced_heat_index();
-  ASSERT_NE(index, nullptr);
-  EXPECT_EQ(index->size(), cluster.opened_hosts());
-  EXPECT_TRUE(index->check(cluster.hosts()).empty());
+  const HeatIndex& index = cluster.synced_heat_index();
+  EXPECT_EQ(index.size(), cluster.opened_hosts());
+  EXPECT_TRUE(index.check(cluster.hosts()).empty());
 
   for (HostId h = 0; h < cluster.opened_hosts(); ++h) {
     cluster.set_host_heat(h, 0.3 * static_cast<double>(h + 1), 0.25);
   }
-  index = cluster.synced_heat_index();
-  ASSERT_NE(index, nullptr);
-  EXPECT_TRUE(index->check(cluster.hosts()).empty());
-  EXPECT_TRUE(index->uniform_width());
+  EXPECT_TRUE(cluster.synced_heat_index().check(cluster.hosts()).empty());
 
-  // Index off: the planner must fall back to the naive scan.
+  // The placement-index switch covers placement only: with it off, the
+  // heat index keeps serving the polluter pass and keeps hearing writes.
   cluster.set_index_enabled(false);
-  EXPECT_EQ(cluster.synced_heat_index(), nullptr);
+  cluster.set_host_heat(0, 2.0, 0.25);
+  const HeatIndex& kept = cluster.synced_heat_index();
+  EXPECT_EQ(&kept, &index);
+  EXPECT_TRUE(kept.check(cluster.hosts()).empty());
+  HeatIndex fresh;
+  fresh.rebuild(cluster.hosts());
+  EXPECT_EQ(kept.buckets(), fresh.buckets());
 }
 
 // --- randomized churn: synced index == from-scratch rebuild -----------------
@@ -234,19 +196,15 @@ TEST(HeatIndexChurn, RandomizedChurnMatchesFreshRebuild) {
       cluster.set_host_heat(host, rng.uniform(0.0, 3.0), 0.25);
     }
     if (event % 500 == 0) {
-      const HeatIndex* synced = cluster.synced_heat_index();
-      ASSERT_NE(synced, nullptr);
-      EXPECT_TRUE(synced->check(cluster.hosts()).empty()) << "event " << event;
+      const HeatIndex& synced = cluster.synced_heat_index();
+      EXPECT_TRUE(synced.check(cluster.hosts()).empty()) << "event " << event;
       HeatIndex fresh;
       fresh.rebuild(cluster.hosts());
-      EXPECT_EQ(synced->buckets(), fresh.buckets()) << "event " << event;
+      EXPECT_EQ(synced.buckets(), fresh.buckets()) << "event " << event;
       EXPECT_TRUE(sim::audit(cluster).empty()) << "event " << event;
     }
   }
-  const HeatIndex* synced = cluster.synced_heat_index();
-  ASSERT_NE(synced, nullptr);
-  EXPECT_TRUE(synced->uniform_width());
-  EXPECT_TRUE(synced->check(cluster.hosts()).empty());
+  EXPECT_TRUE(cluster.synced_heat_index().check(cluster.hosts()).empty());
 }
 
 }  // namespace

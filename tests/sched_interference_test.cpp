@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -20,6 +21,7 @@
 
 #include "core/rng.hpp"
 #include "perf/contention.hpp"
+#include "reference/control_plane.hpp"
 #include "sched/policy.hpp"
 #include "sched/scorer.hpp"
 #include "sched/vcluster.hpp"
@@ -152,6 +154,38 @@ TEST(HeatBucket, VClusterMirrorsHeatIntoArenaWithoutEpochBump) {
 TEST(HeatBucket, UnknownHostRejected) {
   VCluster cl("heat", kWorker, sched::make_progress_policy());
   EXPECT_THROW(cl.set_host_heat(0, 1.0, 0.25), core::SlackError);
+}
+
+TEST(HeatBucket, ClusterRejectsNonPositiveOrSecondWidthLeavingHostUnchanged) {
+  // The heat index orders hosts by bucket, which is sound only while every
+  // host of a cluster shares one bucket width.
+  VCluster cl("heat", kWorker, sched::make_progress_policy());
+  cl.place(VmId{1}, make_spec(4, gib(8), 1));
+  const auto expect_unchanged = [&cl](double heat, std::uint32_t bucket,
+                                      std::uint64_t epoch) {
+    EXPECT_EQ(cl.host_heat(0), heat);
+    EXPECT_EQ(cl.hosts()[0].heat_bucket(), bucket);
+    EXPECT_EQ(cl.hosts()[0].epoch(), epoch);
+    EXPECT_EQ(cl.arena().quantized_heat(0), cl.hosts()[0].quantized_heat());
+  };
+  // Before any width is fixed: 0, negative and NaN widths are refused.
+  const std::uint64_t e0 = cl.hosts()[0].epoch();
+  EXPECT_THROW(cl.set_host_heat(0, 1.0, 0.0), core::SlackError);
+  EXPECT_THROW(cl.set_host_heat(0, 1.0, -0.25), core::SlackError);
+  EXPECT_THROW(cl.set_host_heat(0, 1.0, std::nan("")), core::SlackError);
+  expect_unchanged(0.0, 0U, e0);
+
+  cl.set_host_heat(0, 0.6, 0.25);  // fixes the cluster's width: bucket 2
+  const std::uint64_t e1 = cl.hosts()[0].epoch();
+  EXPECT_EQ(e1, e0 + 1);
+  EXPECT_THROW(cl.set_host_heat(0, 1.0, 0.5), core::SlackError);
+  EXPECT_THROW(cl.set_host_heat(0, 1.0, 0.0), core::SlackError);
+  EXPECT_THROW(cl.set_host_heat(0, 1.0, -0.25), core::SlackError);
+  expect_unchanged(0.6, 2U, e1);
+
+  cl.set_host_heat(0, 1.0, 0.25);  // the first width still works
+  expect_unchanged(1.0, 4U, e1 + 1);
+  EXPECT_TRUE(sim::audit(cl).empty());
 }
 
 // --- InterferenceScorer -----------------------------------------------------
@@ -404,7 +438,7 @@ TEST(InterferenceDifferential, TenThousandEventChurnMatchesNaiveScan) {
   }
 }
 
-// --- differential churn: incremental planner passes vs the naive bodies ----
+// --- differential churn: incremental planner passes vs the references ------
 
 void expect_same_plan(const sched::MigrationPlan& a,
                       const sched::MigrationPlan& b) {
@@ -437,6 +471,11 @@ TEST(PlanDifferential, TenThousandEventChurnMatchesNaivePasses) {
     SCOPED_TRACE(sc.label);
     VCluster cluster("plan-churn", kWorker, sched::make_interference_policy(4.0));
     const sched::Rebalancer rebalancer(sc.make());
+    // A null scorer gives the Rebalancer its default, Algorithm 2.
+    const std::unique_ptr<sched::Scorer> custom = sc.make();
+    const sched::ProgressScorer progress;
+    const sched::Scorer& reference_scorer =
+        custom ? *custom : static_cast<const sched::Scorer&>(progress);
     const perf::ContentionModel contention;
     InterferenceOptions itf = itf_options();
     itf.threshold = 1.02;  // keep the polluter pass firing on mild heat
@@ -478,16 +517,11 @@ TEST(PlanDifferential, TenThousandEventChurnMatchesNaivePasses) {
         cluster.set_host_heat(host, rng.uniform(0.0, 3.0), 0.25);
       }
       if (event % 200 == 199) {
-        // The dispatch preconditions must hold, or this differential would
-        // silently compare naive against naive.
-        ASSERT_TRUE(cluster.index_enabled());
-        const sched::HeatIndex* index = cluster.synced_heat_index();
-        ASSERT_NE(index, nullptr);
-        ASSERT_TRUE(index->uniform_width());
         expect_same_plan(rebalancer.plan(cluster, 16),
-                         rebalancer.plan_naive(cluster, 16));
-        expect_same_plan(rebalancer.plan_interference(cluster, contention, itf),
-                         rebalancer.plan_interference_naive(cluster, contention, itf));
+                         reference::plan_naive(cluster, 16, reference_scorer));
+        expect_same_plan(
+            rebalancer.plan_interference(cluster, contention, itf),
+            reference::plan_interference_naive(cluster, contention, itf));
       }
       if (event % 2000 == 0) {
         EXPECT_TRUE(sim::audit(cluster).empty()) << "event " << event;
@@ -497,12 +531,47 @@ TEST(PlanDifferential, TenThousandEventChurnMatchesNaivePasses) {
   }
 }
 
+// One heat tick fed by the reference per-host sample instead of a
+// DemandCache: the EWMA write of update_cluster_heat over
+// reference::sample_host_usage. Returns the number of hosts refreshed.
+std::size_t reference_heat_tick(VCluster& cluster, double t, double alpha,
+                                double bucket_width) {
+  const std::vector<sim::HostUsage> usage = reference::sample_host_usage(cluster, t);
+  for (HostId h = 0; h < usage.size(); ++h) {
+    const double q =
+        usage[h].capacity_cores > 0
+            ? usage[h].demand_cores / static_cast<double>(usage[h].capacity_cores)
+            : 0.0;
+    cluster.set_host_heat(h, alpha * q + (1.0 - alpha) * cluster.host_heat(h),
+                          bucket_width);
+  }
+  return usage.size();
+}
+
+// The cache's breakdown at `t` must equal the reference sum bit for bit.
+// Sampled right after a tick (membership unchanged, epochs restamped), so
+// the extra sample() replays cached terms and leaves the cache as it was.
+void expect_cache_matches_reference(sim::DemandCache& cache, VCluster& cluster,
+                                    double t) {
+  const std::vector<sim::HostUsage> expected = reference::sample_host_usage(cluster, t);
+  const std::size_t rebuilds = cache.rebuilds();
+  const std::vector<sim::HostUsage>& got = cache.sample(cluster, t);
+  ASSERT_EQ(cache.rebuilds(), rebuilds);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t h = 0; h < got.size(); ++h) {
+    ASSERT_EQ(got[h].capacity_cores, expected[h].capacity_cores) << "host " << h;
+    // Exact (not NEAR): bit-identical demand is the contract.
+    ASSERT_EQ(got[h].demand_cores, expected[h].demand_cores) << "host " << h;
+  }
+}
+
 TEST(HeatCacheDifferential, ChurnedHeatTicksMatchUncachedSampling) {
   // Mirror-churned clusters, one refreshing heat through the DemandCache,
-  // one through the naive per-tick sampling: every host's raw heat must
-  // stay bit-identical through >= 10k events of place/remove/fault churn
-  // interleaved with heat ticks — and once the churn stops, a further tick
-  // must rebuild nothing (heat-crossing epoch bumps are restamped away).
+  // one through the reference per-tick sample: every host's demand and raw
+  // heat must stay bit-identical through >= 10k events of place/remove/
+  // fault churn interleaved with heat ticks — and once the churn stops, a
+  // further tick must rebuild nothing (heat-crossing epoch bumps are
+  // restamped away).
   VCluster cached_cl("cached", kWorker, sched::make_progress_policy());
   VCluster plain_cl("plain", kWorker, sched::make_progress_policy());
   sim::DemandCache cache;
@@ -549,7 +618,8 @@ TEST(HeatCacheDifferential, ChurnedHeatTicksMatchUncachedSampling) {
     } else {
       now += 30.0;
       ASSERT_EQ(sim::update_cluster_heat(cached_cl, now, 0.5, 0.25, &cache),
-                sim::update_cluster_heat(plain_cl, now, 0.5, 0.25));
+                reference_heat_tick(plain_cl, now, 0.5, 0.25));
+      expect_cache_matches_reference(cache, cached_cl, now);
       ASSERT_EQ(cached_cl.opened_hosts(), plain_cl.opened_hosts());
       for (HostId h = 0; h < cached_cl.opened_hosts(); ++h) {
         // Exact (not NEAR): bit-identical heat is the contract.
@@ -599,7 +669,8 @@ TEST(HeatCacheDifferential, JournalOverflowFallsBackToEpochRebuilds) {
   };
   const auto tick = [&](double now) {
     ASSERT_EQ(sim::update_cluster_heat(cached_cl, now, 0.5, 0.25, &cache),
-              sim::update_cluster_heat(plain_cl, now, 0.5, 0.25));
+              reference_heat_tick(plain_cl, now, 0.5, 0.25));
+    expect_cache_matches_reference(cache, cached_cl, now);
     for (HostId h = 0; h < cached_cl.opened_hosts(); ++h) {
       ASSERT_EQ(cached_cl.host_heat(h), plain_cl.host_heat(h)) << "host " << h;
     }

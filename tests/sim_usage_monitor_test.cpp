@@ -103,9 +103,10 @@ TEST(UsageMonitorTest, InvalidIntervalRejected) {
 
 TEST(HostUsageTest, EmptyAndIdleHostsSampleToZeroDemand) {
   Datacenter dc = Datacenter::shared({32, gib(128)}, sched::make_progress_policy);
-  EXPECT_TRUE(sample_host_usage(*dc.clusters()[0], 100.0).empty());
+  DemandCache cache;
+  EXPECT_TRUE(cache.sample(dc.cluster(0), 100.0).empty());
   dc.deploy(core::VmId{1}, make_vm(1, 4, gib(8), 1, core::UsageClass::kIdle).spec);
-  const auto usage = sample_host_usage(*dc.clusters()[0], 100.0);
+  const auto& usage = cache.sample(dc.cluster(0), 100.0);
   ASSERT_EQ(usage.size(), 1U);
   EXPECT_EQ(usage[0].capacity_cores, 32U);
   EXPECT_LT(usage[0].demand_cores, 0.2);  // idle: 4 vcpus x ~0.01-0.04
@@ -120,7 +121,8 @@ TEST(HostUsageTest, BreakdownSumsToTheClusterSample) {
   }
   const core::SimTime t = 1234.0;
   const UsageSample sample = sample_usage(dc, t);
-  const auto usage = sample_host_usage(*dc.clusters()[0], t);
+  DemandCache cache;
+  const auto& usage = cache.sample(dc.cluster(0), t);
   ASSERT_EQ(sample.host_q.size(), usage.size());
   double total = 0.0;
   for (std::size_t h = 0; h < usage.size(); ++h) {
